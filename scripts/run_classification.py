@@ -31,9 +31,6 @@ def main() -> int:
             seed=seed, output_dir=f"runs/classify_s{seed}/{method}",
         )
         state = run_experiment(cfg)
-        if method == "feddva":
-            for s in state.shards:
-                s.model.load_shared(state.theta)
         models = {s.id: s.model for s in state.shards}
         accs, mean, std = accuracy_per_client(models, state.shards)
         out = Path(cfg.output_dir)

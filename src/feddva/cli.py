@@ -3,9 +3,10 @@
 train  runs the configured method, streaming one JSON line per round to
        history.jsonl (flushed immediately), checkpointing on schedule,
        and writing a reproducibility manifest. --resume continues a
-       killed run from its last checkpoint; the splittable seed schedule
-       makes the continuation identical to an uninterrupted run.
-eval   rebuilds models from a checkpoint directory and emits the
+       killed run from its last complete checkpoint; the splittable seed
+       schedule makes the continuation identical to an uninterrupted run.
+eval   rebuilds models from a checkpoint directory, applies the method's
+       end-of-run rule (federation.finalize), and emits the
        disentanglement report, accuracy CSV, embeddings CSV, and
        traversal grids.
 selftest  the fast invariant suite; nonzero exit on any failure.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, ExperimentConfig, load_config
-from .federation import MODEL_KIND, ServerState, init_run, run_rounds
+from .config import ConfigError, ExperimentConfig
+from .federation import MODEL_KIND, ServerState, finalize, init_run, run_rounds
 from .metrics import (accuracy_per_client, clustering_report,
                       export_accuracy_csv, export_embeddings_csv,
                       export_grid_image, latent_traversal, write_report_json)
@@ -66,12 +68,22 @@ def _ckpt_dir(out_dir: Path, round_idx: int) -> Path:
 
 
 def save_state(cfg: ExperimentConfig, state: ServerState, out_dir: Path) -> None:
-    d = _ckpt_dir(out_dir, state.round)
-    d.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(d / "shared.ckpt", "shared", state.arch, state.theta)
+    """Write the round's checkpoint directory, atomically.
+
+    Files go to a hidden temporary directory that is renamed into place, so
+    a kill leaves either the complete round directory or none.
+    """
+    final = _ckpt_dir(out_dir, state.round)
+    tmp = final.with_name(f".{final.name}.tmp")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    save_checkpoint(tmp / "shared.ckpt", "shared", state.arch, state.theta)
     for s in state.shards:
-        save_checkpoint(d / f"client_{s.id:03d}.ckpt", "local", state.arch,
+        save_checkpoint(tmp / f"client_{s.id:03d}.ckpt", "local", state.arch,
                         s.model.flatten_local())
+    if final.exists():
+        shutil.rmtree(final)  # os.replace cannot rename onto a non-empty dir
+    os.replace(tmp, final)
 
 
 def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
@@ -84,22 +96,38 @@ def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
     for s in state.shards:
         _, _, local = load_checkpoint(ckpt_dir / f"client_{s.id:03d}.ckpt")
         s.model.load_local(local)
-        s.model.load_shared(theta)
     state.round = int(ckpt_dir.name.split("_")[1])
     return state
 
 
-def latest_checkpoint(out_dir: Path) -> Path | None:
+def latest_checkpoint(out_dir: Path, n_clients: int) -> Path | None:
+    """Newest round_NNNNN directory that holds every checkpoint file."""
     root = out_dir / "checkpoints"
     if not root.is_dir():
         return None
-    rounds = sorted(root.glob("round_*"))
-    return rounds[-1] if rounds else None
+    files = ["shared.ckpt"] + [f"client_{k:03d}.ckpt" for k in range(n_clients)]
+    complete = [d for d in root.iterdir()
+                if d.name.startswith("round_") and d.name[6:].isdigit()
+                and all((d / f).is_file() for f in files)]
+    return max(complete, key=lambda d: int(d.name[6:]), default=None)
+
+
+def _blas_vendor() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 has no dict mode
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: Path) -> None:
+    """Config and seed, plus the numeric stack: results are bitwise
+    reproducible only under the same numpy, BLAS and BLAS thread count."""
     manifest = {"version": f"feddva-{__version__}", "seed": cfg.seed,
-                "config": cfg.to_text()}
+                "config": cfg.to_text(), "numpy": np.__version__,
+                "blas": _blas_vendor(),
+                "blas_threads": {v: os.environ.get(v) for v in
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -115,16 +143,15 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
 
     history_path = out_dir / "history.jsonl"
     if resume:
-        ckpt = latest_checkpoint(out_dir)
+        ckpt = latest_checkpoint(out_dir, cfg.K)
         if ckpt is None:
             raise ConfigError(f"--resume: no checkpoints under {out_dir}")
         state = load_state(cfg, ckpt)
-        # drop history lines past the checkpoint, keep the rest
-        kept = []
-        if history_path.exists():
-            for line in history_path.read_text().splitlines():
-                if line and json.loads(line)["round"] <= state.round:
-                    kept.append(line)
+        # drop a torn (unterminated) last line and every line past the
+        # checkpoint, keep the rest
+        text = history_path.read_text() if history_path.exists() else ""
+        kept = [line for line in text[:text.rfind("\n") + 1].splitlines()
+                if line and json.loads(line)["round"] <= state.round]
         history_path.write_text("".join(k + "\n" for k in kept))
     else:
         state = init_run(cfg)
@@ -140,21 +167,11 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
         if st.round % cfg.checkpoint_every == 0 or st.round == cfg.rounds:
             save_state(cfg, st, out_dir)
 
+    start_round = state.round
     try:
-        if cfg.method == "fedavg-ft":
-            from .federation import fedavg_client_update
-            state = run_rounds(cfg, state, on_round)
-            for s in state.shards:
-                fedavg_client_update(s, state.theta, cfg, cfg.rounds + 1,
-                                     epochs=cfg.ft_epochs)
+        state = run_rounds(cfg, state, on_round)
+        if state.round == start_round:  # no round ran, so on_round saved none
             save_state(cfg, state, out_dir)
-        else:
-            state = run_rounds(cfg, state, on_round)
-            if cfg.method == "fedavg":
-                for s in state.shards:
-                    s.model.load_shared(state.theta)
-            if cfg.rounds == 0 or cfg.rounds % cfg.checkpoint_every != 0:
-                save_state(cfg, state, out_dir)
     finally:
         history_file.close()
     print(f"train: {cfg.method} finished round {state.round}, "
@@ -167,11 +184,12 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
 
 def cmd_eval(cfg: ExperimentConfig, checkpoint_dir: str | None = None) -> int:
     out_dir = Path(cfg.output_dir)
-    ckpt = Path(checkpoint_dir) if checkpoint_dir else latest_checkpoint(out_dir)
+    ckpt = (Path(checkpoint_dir) if checkpoint_dir
+            else latest_checkpoint(out_dir, cfg.K))
     if ckpt is None or not ckpt.is_dir():
         raise ConfigError(f"eval: no checkpoint directory found "
                           f"(looked in {out_dir / 'checkpoints'})")
-    state = load_state(cfg, ckpt)
+    state = finalize(cfg, load_state(cfg, ckpt))
     eval_dir = out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .gaussians import LatentConfig
-
 TASKS = ("reconstruct", "classify")
 METHODS = ("feddva", "fedavg", "fedavg-ft", "vanilla-vae")
 PARTITIONS = ("marked", "label-skew")
@@ -84,6 +82,8 @@ class ExperimentConfig:
         need(self.classifier_latents in LATENT_MODES, "classifier_latents",
              f"must be one of {LATENT_MODES}")
         need(self.K >= 1, "K", "must be >= 1")
+        need(self.d_z >= 1, "d_z", "must be >= 1")
+        need(self.d_c >= 1, "d_c", "must be >= 1")
         need(1 <= self.m <= self.K, "m", f"must be in [1, K={self.K}]")
         need(self.rounds >= 0, "rounds", "must be >= 0")
         need(self.epochs_per_phase >= 1, "epochs_per_phase", "must be >= 1")
@@ -105,8 +105,6 @@ class ExperimentConfig:
         if self.method == "vanilla-vae":
             need(self.task == "reconstruct", "method",
                  "vanilla-vae requires task = reconstruct")
-        # LatentConfig re-checks dims and the assembled threshold
-        LatentConfig(d_z=self.d_z, d_c=self.d_c, xi=self.xi_value())
 
     def xi_value(self) -> float:
         return self.xi_per_dim * self.d_c * self.xi_scale

@@ -12,6 +12,9 @@ travels; only the phase-2 shared vector returns to the server, which
 averages the sampled vectors with weights renormalized over the sampled
 set. Clients within a round all start from the same incoming vector, so
 serial execution equals any parallel schedule.
+
+After the last round, finalize applies each method's end-of-run rule; the
+in-memory run, the CLI's eval of a checkpoint and the scripts all use it.
 """
 
 from __future__ import annotations
@@ -281,34 +284,20 @@ def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
     return state
 
 
-def run_feddva(cfg, on_round=None) -> ServerState:
-    return run_rounds(cfg, init_run(cfg), on_round)
+def finalize(cfg, state: ServerState) -> ServerState:
+    """The end-of-run rule: put each method's final model into every client.
 
-
-def run_fedavg_baseline(cfg, on_round=None) -> ServerState:
-    state = run_rounds(cfg, init_run(cfg), on_round)
-    # final model is the aggregate; push it into every client for eval
+    Every client loads the aggregate; fedavg-ft then fine-tunes each client
+    locally for ft_epochs. The fine-tune is a deterministic function of the
+    aggregate, so eval re-derives it from a checkpoint instead of storing it.
+    """
     for s in state.shards:
         s.model.load_shared(state.theta)
-    return state
-
-
-def run_fedavg_finetune(cfg, ft_epochs: int | None = None,
-                        on_round=None) -> ServerState:
-    """FedAvg, then ft_epochs purely local epochs per client before eval."""
-    state = run_rounds(cfg, init_run(cfg), on_round)
-    epochs = cfg.ft_epochs if ft_epochs is None else ft_epochs
-    for s in state.shards:
-        fedavg_client_update(s, state.theta, cfg, cfg.rounds + 1,
-                             epochs=epochs)
+        if cfg.method == "fedavg-ft":
+            fedavg_client_update(s, state.theta, cfg, state.round + 1,
+                                 epochs=cfg.ft_epochs)
     return state
 
 
 def run_experiment(cfg, on_round=None) -> ServerState:
-    if cfg.method in ("feddva", "vanilla-vae"):
-        return run_feddva(cfg, on_round)
-    if cfg.method == "fedavg":
-        return run_fedavg_baseline(cfg, on_round)
-    if cfg.method == "fedavg-ft":
-        return run_fedavg_finetune(cfg, on_round=on_round)
-    raise ValueError(f"unknown method {cfg.method!r}")
+    return finalize(cfg, run_rounds(cfg, init_run(cfg), on_round))

@@ -46,22 +46,6 @@ class DiagGaussian:
         return self.mu.shape[-1]
 
 
-@dataclass(frozen=True)
-class LatentConfig:
-    """Latent dimensions plus the per-client slack threshold."""
-
-    d_z: int
-    d_c: int
-    xi: float
-
-    def __post_init__(self):
-        if self.d_z < 1 or self.d_c < 1:
-            raise ValueError(f"LatentConfig: latent dims must be >= 1, "
-                             f"got d_z={self.d_z}, d_c={self.d_c}")
-        if self.xi < 0:
-            raise ValueError(f"LatentConfig: xi must be >= 0, got {self.xi}")
-
-
 def reparameterize(q: DiagGaussian, rng: np.random.Generator) -> Tensor:
     """Sample mu + sigma * eps with eps ~ N(0, I) from the given generator.
 

@@ -46,14 +46,6 @@ class TraversalGrid:
     anchor: int
 
 
-def posterior_means(model, images_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (z means, c means) for a stack of flattened images."""
-    x = Tensor(images_flat)
-    qz = model.encode_z(x)
-    qc = model.encode_c(x, qz.mu)
-    return qz.mu.data.copy(), qc.mu.data.copy()
-
-
 def _principal_axis(points: np.ndarray) -> np.ndarray:
     centered = points - points.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / max(1, points.shape[0] - 1)
@@ -72,7 +64,8 @@ def latent_traversal(model, shard: ClientShard, anchor: int, steps: int,
     """
     if not 0 <= anchor < shard.n:
         raise ValueError(f"anchor {anchor} outside shard of {shard.n} samples")
-    z_mu, c_mu = posterior_means(model, shard.flat_images())
+    z_mu, c_mu = (m.data for m in
+                  model.posterior_means(Tensor(shard.flat_images())))
     if not (np.isfinite(z_mu).all() and np.isfinite(c_mu).all()):
         raise ValueError("latent_traversal: non-finite posterior means; "
                          "model looks untrained or diverged")
@@ -141,11 +134,9 @@ def clustering_report(model, shards: list[ClientShard], xi: float,
         if shard.n < 2:
             raise ValueError(f"clustering_report: shard {shard.id} has "
                              f"fewer than 2 samples")
-        x = Tensor(shard.flat_images())
-        qz = model.encode_z(x)
-        qc = model.encode_c(x, qz.mu)
-        z_all.append(qz.mu.data.copy())
-        c_all.append(qc.mu.data.copy())
+        qz, qc = model.posteriors(Tensor(shard.flat_images()))
+        z_all.append(qz.mu.data)
+        c_all.append(qc.mu.data)
         mus = qc.mu.data
         sigmas = np.exp(qc.log_var.data / 2.0)
         rng = make_rng(seed, "mixture-kl", shard.id)
@@ -225,7 +216,8 @@ def export_embeddings_csv(model, shards: list[ClientShard], path) -> None:
         writer = csv.writer(f)
         first = True
         for shard in shards:
-            z_mu, c_mu = posterior_means(model, shard.flat_images())
+            z_mu, c_mu = (m.data for m in
+                          model.posterior_means(Tensor(shard.flat_images())))
             if first:
                 header = (["client_id", "sample_id"]
                           + [f"z_{i}" for i in range(z_mu.shape[1])]

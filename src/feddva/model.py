@@ -130,7 +130,40 @@ def _load(params: list[Tensor], flat: np.ndarray, what: str) -> None:
         at += n
 
 
-class DvaModel:
+class FederatedModel:
+    """Parameter protocol of every model.
+
+    Subclasses list a shared group, which travels to the server and is
+    averaged, and a local group, which never leaves the client. Flat
+    vectors concatenate each group's tensors in list order.
+    """
+
+    def shared_parameters(self) -> list[Tensor]:
+        raise NotImplementedError
+
+    def local_parameters(self) -> list[Tensor]:
+        return []
+
+    def all_parameters(self) -> list[Tensor]:
+        return self.shared_parameters() + self.local_parameters()
+
+    def zero_grad(self) -> None:
+        ad.zero_grads(self.all_parameters())
+
+    def flatten_shared(self) -> np.ndarray:
+        return _flatten(self.shared_parameters())
+
+    def load_shared(self, flat: np.ndarray) -> None:
+        _load(self.shared_parameters(), flat, "shared")
+
+    def flatten_local(self) -> np.ndarray:
+        return _flatten(self.local_parameters())
+
+    def load_local(self, flat: np.ndarray) -> None:
+        _load(self.local_parameters(), flat, "local")
+
+
+class DvaModel(FederatedModel):
     """Shared dual encoders plus this client's decoder and optional head."""
 
     def __init__(self, arch: ArchitectureConfig, rng: np.random.Generator):
@@ -191,10 +224,14 @@ class DvaModel:
             raise ValueError("classify: model built without a classifier head")
         return self.head_out(self.head(ad.concat_last(z_mu, c_mu)))
 
-    def posterior_means(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Deterministic (mu_z, mu_c) pair; c is conditioned on mu_z."""
+    def posteriors(self, x: Tensor) -> tuple[DiagGaussian, DiagGaussian]:
+        """Deterministic (q_z, q_c) pair; c is conditioned on mu_z."""
         qz = self.encode_z(x)
-        qc = self.encode_c(x, qz.mu)
+        return qz, self.encode_c(x, qz.mu)
+
+    def posterior_means(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """(mu_z, mu_c) of posteriors(x)."""
+        qz, qc = self.posteriors(x)
         return qz.mu, qc.mu
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
@@ -226,26 +263,8 @@ class DvaModel:
             phi = phi + self.head.params + self.head_out.params
         return phi
 
-    def all_parameters(self) -> list[Tensor]:
-        return self.shared_parameters() + self.local_parameters()
 
-    def zero_grad(self) -> None:
-        ad.zero_grads(self.all_parameters())
-
-    def flatten_shared(self) -> np.ndarray:
-        return _flatten(self.shared_parameters())
-
-    def load_shared(self, flat: np.ndarray) -> None:
-        _load(self.shared_parameters(), flat, "shared")
-
-    def flatten_local(self) -> np.ndarray:
-        return _flatten(self.local_parameters())
-
-    def load_local(self, flat: np.ndarray) -> None:
-        _load(self.local_parameters(), flat, "local")
-
-
-class VanillaVaeModel:
+class VanillaVaeModel(FederatedModel):
     """Single-encoder VAE: shared encoder, client-local z-only decoder."""
 
     def __init__(self, arch: ArchitectureConfig, rng: np.random.Generator):
@@ -274,26 +293,8 @@ class VanillaVaeModel:
     def local_parameters(self) -> list[Tensor]:
         return self.dec_trunk.params + self.dec_out.params
 
-    def all_parameters(self) -> list[Tensor]:
-        return self.shared_parameters() + self.local_parameters()
 
-    def zero_grad(self) -> None:
-        ad.zero_grads(self.all_parameters())
-
-    def flatten_shared(self) -> np.ndarray:
-        return _flatten(self.shared_parameters())
-
-    def load_shared(self, flat: np.ndarray) -> None:
-        _load(self.shared_parameters(), flat, "shared")
-
-    def flatten_local(self) -> np.ndarray:
-        return _flatten(self.local_parameters())
-
-    def load_local(self, flat: np.ndarray) -> None:
-        _load(self.local_parameters(), flat, "local")
-
-
-class PixelClassifier:
+class PixelClassifier(FederatedModel):
     """Plain MLP classifier on raw pixels; every parameter is shared."""
 
     def __init__(self, arch: ArchitectureConfig, rng: np.random.Generator):
@@ -309,27 +310,6 @@ class PixelClassifier:
 
     def shared_parameters(self) -> list[Tensor]:
         return self.trunk.params + self.out.params
-
-    def local_parameters(self) -> list[Tensor]:
-        return []
-
-    def all_parameters(self) -> list[Tensor]:
-        return self.shared_parameters()
-
-    def zero_grad(self) -> None:
-        ad.zero_grads(self.all_parameters())
-
-    def flatten_shared(self) -> np.ndarray:
-        return _flatten(self.shared_parameters())
-
-    def load_shared(self, flat: np.ndarray) -> None:
-        _load(self.shared_parameters(), flat, "shared")
-
-    def flatten_local(self) -> np.ndarray:
-        return np.zeros(0)
-
-    def load_local(self, flat: np.ndarray) -> None:
-        _load([], flat, "local")
 
 
 def build_model(kind: str, arch: ArchitectureConfig, rng: np.random.Generator):

@@ -18,8 +18,8 @@ from feddva.checkpoint import load_checkpoint, save_checkpoint
 from feddva.config import ExperimentConfig
 from feddva.data import make_toy_digits, parse_idx, write_idx
 from feddva.federation import (aggregate, client_update, init_run,
-                               run_experiment, run_feddva, run_rounds,
-                               sample_clients, two_phase_update)
+                               run_experiment, run_rounds, sample_clients,
+                               two_phase_update)
 from feddva.gaussians import (DiagGaussian, kl_pairwise, kl_to_batch_mixture,
                               kl_to_standard)
 from feddva.losses import hinge_max, loss_feddva
@@ -60,7 +60,7 @@ def disentangle_runs():
     runs = {}
     for seed in DISENTANGLE_SEEDS:
         cfg = disentangle_cfg(seed)
-        state = run_feddva(cfg)
+        state = run_experiment(cfg)
         rep = clustering_report(state.shards[0].model, state.shards,
                                 xi=cfg.xi_value(), seed=cfg.seed)
         runs[seed] = (cfg, state, rep)
@@ -95,9 +95,6 @@ def classification_runs():
             history = []
             state = run_experiment(
                 cfg, on_round=lambda st, rec: history.append(rec.to_json_dict()))
-            if method == "feddva":
-                for s in state.shards:
-                    s.model.load_shared(state.theta)
             models = {s.id: s.model for s in state.shards}
             accs, mean, std = accuracy_per_client(models, state.shards)
             with open(out / "history.jsonl", "w") as f:
@@ -248,8 +245,8 @@ def test_criterion_4_federation_algebra():
                for k in hashes)
 
     # K = m determinism, bitwise
-    a = run_feddva(cfg)
-    b = run_feddva(cfg)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     assert a.theta.tobytes() == b.theta.tobytes()
 
     # phase order sensitivity

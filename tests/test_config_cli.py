@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 import feddva.gaussians
+from feddva.checkpoint import load_checkpoint
 from feddva.cli import cmd_eval, cmd_train, main
 from feddva.config import ConfigError, ExperimentConfig, load_config
-from feddva.metrics import parse_pgm
+from feddva.federation import run_experiment
+from feddva.metrics import accuracy_per_client, export_accuracy_csv, parse_pgm
 from feddva.selftest import run_selftest
 
 
@@ -84,6 +87,16 @@ def test_method_task_compatibility():
         ExperimentConfig(method="fedavg", task="reconstruct")
     with pytest.raises(ConfigError, match="vanilla-vae"):
         ExperimentConfig(method="vanilla-vae", task="classify")
+
+
+def test_latent_dims_and_xi_named():
+    assert ExperimentConfig(d_z=4, d_c=4).xi_value() == 32.0
+    with pytest.raises(ConfigError, match="'d_z'"):
+        ExperimentConfig(d_z=-1)
+    with pytest.raises(ConfigError, match="'d_c'"):
+        ExperimentConfig(d_c=-2)
+    with pytest.raises(ConfigError, match="'xi_per_dim'"):
+        ExperimentConfig(xi_per_dim=-0.5)
 
 
 def test_round_trip_lossless():
@@ -171,6 +184,89 @@ def test_resume_continues_identically(tmp_path):
     assert a == b
     assert _history_without_walltime(full_out / "history.jsonl")[-1] == \
         _history_without_walltime(part_out / "history.jsonl")[-1]
+
+
+def _resume_matches_full_run(tmp_path, kill) -> None:
+    """Train FAST in full, and again with `kill(out)` applied to the finished
+    second run's files; --resume must then reproduce the full run."""
+    runs = {name: tmp_path / name for name in ("full", "killed")}
+    cfgs = {name: load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+            for name, out in runs.items()}
+    for cfg in cfgs.values():
+        cmd_train(cfg)
+    kill(runs["killed"])
+    assert cmd_train(cfgs["killed"], resume=True) == 0
+    assert _history_without_walltime(runs["full"] / "history.jsonl") == \
+        _history_without_walltime(runs["killed"] / "history.jsonl")
+    for f in ("shared.ckpt", "client_000.ckpt", "client_001.ckpt"):
+        assert (runs["full"] / "checkpoints/round_00003" / f).read_bytes() == \
+            (runs["killed"] / "checkpoints/round_00003" / f).read_bytes()
+
+
+def test_resume_drops_torn_history_line(tmp_path):
+    def kill_while_logging_round_3(out):
+        # round 3's line half written, its checkpoint never started
+        history = out / "history.jsonl"
+        text = history.read_text()
+        last = text.rstrip("\n").rsplit("\n", 1)[1]
+        history.write_text(text[:-len(last) - 1] + last[:len(last) // 2])
+        shutil.rmtree(out / "checkpoints/round_00003")
+
+    _resume_matches_full_run(tmp_path, kill_while_logging_round_3)
+
+
+def test_resume_skips_partial_round_directory(tmp_path):
+    def kill_while_saving_round_3(out):
+        (out / "checkpoints/round_00003/client_001.ckpt").unlink()
+
+    _resume_matches_full_run(tmp_path, kill_while_saving_round_3)
+
+
+# label-skewed and large enough that fedavg-ft's fine-tune changes accuracy
+SKEW = """
+K = 3
+m = 2
+rounds = 3
+epochs_per_phase = 1
+batch_size = 16
+toy_per_class = 30
+toy_classes = 3
+toy_height = 8
+toy_width = 8
+hidden_dims = 12
+d_z = 2
+d_c = 2
+xi_scale = 0.05
+lr_lambda = 0.02
+seed = 3
+checkpoint_every = 2
+partition = label-skew
+concentration = 0.5
+ft_epochs = 3
+"""
+
+
+@pytest.mark.parametrize("task,method", [
+    ("classify", "feddva"), ("classify", "fedavg"), ("classify", "fedavg-ft"),
+    ("reconstruct", "vanilla-vae")])
+def test_eval_scores_the_model_training_produced(tmp_path, task, method):
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, SKEW + f"task = {task}\n"
+                                f"method = {method}\noutput_dir = {out}\n"))
+    cmd_train(cfg)
+    state = run_experiment(cfg)
+    ckpt = out / "checkpoints" / f"round_{cfg.rounds:05d}"
+    for s in state.shards:
+        _, _, local = load_checkpoint(ckpt / f"client_{s.id:03d}.ckpt")
+        assert local.tobytes() == s.model.flatten_local().tobytes()
+    if task == "classify":
+        cmd_eval(cfg)
+        accs, mean, std = accuracy_per_client(
+            {s.id: s.model for s in state.shards}, state.shards,
+            latents=cfg.classifier_latents)
+        export_accuracy_csv(accs, mean, std, tmp_path / "in_memory.csv")
+        assert (out / "eval" / "accuracy.csv").read_text() == \
+            (tmp_path / "in_memory.csv").read_text()
 
 
 def test_eval_outputs_and_determinism(tmp_path):

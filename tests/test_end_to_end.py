@@ -8,9 +8,9 @@ import pytest
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward, sgd_step
 from feddva.config import ExperimentConfig
-from feddva.federation import run_experiment, run_feddva
+from feddva.federation import run_experiment
 from feddva.losses import bce_recon, cross_entropy
-from feddva.metrics import accuracy_per_client, posterior_means
+from feddva.metrics import accuracy_per_client
 from feddva.model import ArchitectureConfig, DvaModel
 from oracles import dataset_mean_bce
 
@@ -22,13 +22,12 @@ def test_decode_round_trip_beats_mean_image_baseline():
                            toy_width=8, hidden_dims=(64,), d_z=4, d_c=4,
                            lr_eta=0.02, lr_lambda=0.02, xi_scale=0.05,
                            alpha=0.1, beta=0.1, seed=4, holdout_frac=0.0)
-    state = run_feddva(cfg)
+    state = run_experiment(cfg)
     model_bces, baselines = [], []
     for shard in state.shards:
         model = shard.model
-        model.load_shared(state.theta)
-        z_mu, c_mu = posterior_means(model, shard.flat_images())
-        recon = model.decode(Tensor(z_mu), Tensor(c_mu))
+        z_mu, c_mu = model.posterior_means(Tensor(shard.flat_images()))
+        recon = model.decode(z_mu, c_mu)
         model_bces.append(bce_recon(recon, Tensor(shard.flat_images())).item())
         baselines.append(dataset_mean_bce(shard.images))
     assert np.mean(model_bces) < np.mean(baselines)

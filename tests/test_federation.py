@@ -7,9 +7,8 @@ import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.config import ExperimentConfig
 from feddva.federation import (aggregate, client_update, init_run,
-                               iter_batches, run_experiment, run_feddva,
-                               run_fedavg_baseline, run_fedavg_finetune,
-                               run_rounds, sample_clients, two_phase_update)
+                               iter_batches, run_experiment, run_rounds,
+                               sample_clients, two_phase_update)
 from feddva.seeding import make_rng
 
 
@@ -184,7 +183,6 @@ def test_client_update_phase_freezing():
     state = init_run(cfg)
     shard = state.shards[1]
     model = shard.model
-    model.load_shared(state.theta)
     theta_hash_in = state.theta.tobytes()
     phi_in = model.flatten_local().tobytes()
 
@@ -225,15 +223,15 @@ def test_decoder_persists_across_rounds_and_aggregation():
 
 def test_run_zero_rounds_returns_initial_state():
     cfg = small_cfg(rounds=0)
-    state = run_feddva(cfg)
+    state = run_experiment(cfg)
     assert state.round == 0
     assert state.history == []
 
 
 def test_full_participation_bitwise_determinism():
     cfg = small_cfg(rounds=3)
-    a = run_feddva(cfg)
-    b = run_feddva(cfg)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     assert a.theta.tobytes() == b.theta.tobytes()
     for sa, sb in zip(a.shards, b.shards):
         assert sa.model.flatten_local().tobytes() == \
@@ -254,7 +252,7 @@ def test_single_client_equals_centralized_two_phase():
 def test_training_reduces_loss():
     cfg = small_cfg(rounds=25, epochs_per_phase=2, lr_eta=0.02, lr_lambda=0.02,
                     toy_per_class=32)
-    state = run_feddva(cfg)
+    state = run_experiment(cfg)
     first = np.mean([c["total"] for c in state.history[0].clients.values()])
     last = np.mean([c["total"] for c in state.history[-1].clients.values()])
     assert last < first
@@ -262,7 +260,7 @@ def test_training_reduces_loss():
 
 def test_history_records_monitor_fields():
     cfg = small_cfg(rounds=1)
-    state = run_feddva(cfg)
+    state = run_experiment(cfg)
     rec = state.history[0]
     assert sorted(rec.sampled) == [0, 1, 2]
     for stats in rec.clients.values():
@@ -275,17 +273,17 @@ def test_history_records_monitor_fields():
 def test_fedavg_baseline_and_finetune():
     cfg = small_cfg(task="classify", method="fedavg", rounds=2,
                     partition="label-skew", d_z=2, d_c=2)
-    state = run_fedavg_baseline(cfg)
+    state = run_experiment(cfg)
     assert state.round == 2
     # ft_epochs=0 leaves the aggregate untouched on every client
-    cfg_ft = small_cfg(task="classify", method="fedavg-ft", rounds=2,
-                       partition="label-skew", d_z=2, d_c=2)
-    ft0 = run_fedavg_finetune(cfg_ft, ft_epochs=0)
+    ft = dict(task="classify", method="fedavg-ft", rounds=2,
+              partition="label-skew", d_z=2, d_c=2)
+    ft0 = run_experiment(small_cfg(**ft, ft_epochs=0))
     base_flat = ft0.theta.tobytes()
     for s in ft0.shards:
         assert s.model.flatten_shared().tobytes() == base_flat
     # nonzero fine-tuning moves the local copies
-    ft2 = run_fedavg_finetune(cfg_ft, ft_epochs=2)
+    ft2 = run_experiment(small_cfg(**ft, ft_epochs=2))
     moved = [s.model.flatten_shared().tobytes() != ft2.theta.tobytes()
              for s in ft2.shards]
     assert any(moved)
@@ -294,7 +292,7 @@ def test_fedavg_baseline_and_finetune():
 def test_fedavg_single_client_is_centralized():
     cfg = small_cfg(task="classify", method="fedavg", K=1, m=1, rounds=1,
                     partition="label-skew", d_z=2, d_c=2)
-    state = run_fedavg_baseline(cfg)
+    state = run_experiment(cfg)
     from feddva.federation import fedavg_client_update
     fresh = init_run(cfg)
     theta_k, _ = fedavg_client_update(fresh.shards[0], fresh.theta, cfg, 1)
@@ -310,7 +308,7 @@ def test_run_experiment_dispatch():
 
 def test_vanilla_vae_method_runs():
     cfg = small_cfg(method="vanilla-vae", K=1, m=1, rounds=2)
-    state = run_feddva(cfg)
+    state = run_experiment(cfg)
     assert state.round == 2
     for rec in state.history:
         for stats in rec.clients.values():

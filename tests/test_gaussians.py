@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward
-from feddva.gaussians import (DiagGaussian, LatentConfig, kl_pairwise,
+from feddva.gaussians import (DiagGaussian, kl_pairwise,
                               kl_to_batch_mixture, kl_to_standard,
                               mixture_bound_batch_mean, pairwise_kl_matrix,
                               reparameterize)
@@ -22,14 +22,6 @@ def gauss(mu, log_var, requires_grad=False):
 def random_gauss(rng, n, d, spread=1.5, requires_grad=False):
     return gauss(rng.uniform(-spread, spread, (n, d)),
                  rng.uniform(-1.5, 1.0, (n, d)), requires_grad=requires_grad)
-
-
-def test_latent_config_validation():
-    LatentConfig(d_z=4, d_c=4, xi=32.0)
-    with pytest.raises(ValueError, match="d_z"):
-        LatentConfig(d_z=0, d_c=4, xi=1.0)
-    with pytest.raises(ValueError, match="xi"):
-        LatentConfig(d_z=1, d_c=1, xi=-0.5)
 
 
 def test_diag_gaussian_shape_check():

@@ -9,7 +9,7 @@ from feddva.metrics import (DisentanglementReport, TraversalGrid,
                             accuracy_per_client, clustering_report,
                             export_grid_image, latent_traversal,
                             mixture_kl_to_standard_mc, parse_pgm,
-                            posterior_means, export_embeddings_csv,
+                            export_embeddings_csv,
                             _separation_ratio)
 from feddva.model import ArchitectureConfig, DvaModel
 from oracles import mc_kl_mixture_to_standard
@@ -40,8 +40,8 @@ def test_traversal_single_step_is_anchor_recon():
     shards, model = shards_and_model()
     shard = shards[0]
     grid = latent_traversal(model, shard, anchor=2, steps=1, span=1.0)
-    z_mu, c_mu = posterior_means(model, shard.flat_images())
-    recon = model.decode(Tensor(z_mu[2:3]), Tensor(c_mu[2:3])).data
+    z_mu, c_mu = model.posterior_means(Tensor(shard.flat_images()))
+    recon = model.decode(Tensor(z_mu.data[2:3]), Tensor(c_mu.data[2:3])).data
     assert np.allclose(grid.images[0, 0].reshape(-1), recon[0])
 
 
