@@ -204,8 +204,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul-elementwise: shapes {a.shape} and {b.shape} differ")
 
     def back(g, grads):
-        _sink(grads, a, g * b.data)
-        _sink(grads, b, g * a.data)
+        if a.requires_grad:
+            _sink(grads, a, g * b.data)
+        if b.requires_grad:
+            _sink(grads, b, g * a.data)
 
     return Tensor._from_op(a.data * b.data, "mul-elementwise", (a, b), back)
 
@@ -215,8 +217,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} do not conform")
 
     def back(g, grads):
-        _sink(grads, a, g @ b.data.T)
-        _sink(grads, b, a.data.T @ g)
+        if a.requires_grad:
+            _sink(grads, a, g @ b.data.T)
+        if b.requires_grad:
+            _sink(grads, b, a.data.T @ g)
 
     return Tensor._from_op(a.data @ b.data, "matmul", (a, b), back)
 
@@ -268,11 +272,8 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # the tanh form needs no branch on the sign and cannot overflow
+    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
 
     def back(g, grads):
         _sink(grads, a, g * y * (1.0 - y))
@@ -348,9 +349,60 @@ def add_rowvec(x: Tensor, row: Tensor) -> Tensor:
 
     def back(g, grads):
         _sink(grads, x, g)
-        _sink(grads, row, g.sum(axis=0).reshape(row.shape))
+        if row.requires_grad:
+            _sink(grads, row, g.sum(axis=0).reshape(row.shape))
 
     return Tensor._from_op(x.data + r[None, :], "broadcast-add-row", (x, row), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b with b broadcast over rows: one node for a dense layer.
+
+    Bitwise equal to ``add_rowvec(matmul(x, w), b)``, forward and backward.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} do not conform")
+    r = b.data.reshape(-1)
+    if b.data.ndim > 2 or r.shape[0] != w.shape[1]:
+        raise ShapeError(f"linear: bias shape {b.shape} does not match "
+                         f"columns of {w.shape}")
+
+    def back(g, grads):
+        if x.requires_grad:
+            _sink(grads, x, g @ w.data.T)
+        if w.requires_grad:
+            _sink(grads, w, x.data.T @ g)
+        if b.requires_grad:
+            _sink(grads, b, g.sum(axis=0).reshape(b.shape))
+
+    return Tensor._from_op(x.data @ w.data + r[None, :], "linear", (x, w, b), back)
+
+
+def bce_logits(logits: Tensor, x: Tensor) -> Tensor:
+    """Row-mean binary cross-entropy of targets x under Bernoulli logits.
+
+    sum(softplus(l) - x * l) / n over an [n, d] pair, the value of
+    -sum(x log sigmoid(l) + (1 - x) log(1 - sigmoid(l))) / n, finite for
+    any finite logits. Gradients: (sigmoid(l) - x) / n for the logits and
+    -l / n for x.
+    """
+    if logits.shape != x.shape or logits.data.ndim != 2:
+        raise ShapeError(f"bce-logits: logits {logits.shape} vs target {x.shape} "
+                         "must be equal 2-d shapes")
+    l = logits.data
+    n = l.shape[0]
+    # softplus(l) = max(l, 0) + log1p(exp(-|l|)): no overflow, no cancellation
+    softplus = np.maximum(l, 0.0) + np.log1p(np.exp(-np.abs(l)))
+
+    def back(g, grads):
+        if logits.requires_grad:
+            sig = 0.5 * (1.0 + np.tanh(0.5 * l))
+            _sink(grads, logits, (float(g) / n) * (sig - x.data))
+        if x.requires_grad:
+            _sink(grads, x, (-float(g) / n) * l)
+
+    return Tensor._from_op(np.asarray((softplus - x.data * l).sum() / n),
+                           "bce-logits", (logits, x), back)
 
 
 # one entry per op kind, for dispatch-style callers (selftest, grad sweeps)
@@ -370,6 +422,8 @@ OP_TABLE: dict[str, Callable[..., Tensor]] = {
     "concat-last-axis": concat_last,
     "broadcast-add-row": add_rowvec,
     "transpose": transpose,
+    "linear": linear,
+    "bce-logits": bce_logits,
 }
 
 

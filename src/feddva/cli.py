@@ -4,7 +4,8 @@ train  runs the configured method, streaming one JSON line per round to
        history.jsonl (flushed immediately), checkpointing on schedule,
        and writing a reproducibility manifest. --resume continues a
        killed run from its last complete checkpoint; the splittable seed
-       schedule makes the continuation identical to an uninterrupted run.
+       schedule makes the continuation identical to an uninterrupted run
+       under the same numeric stack, and resume warns when it differs.
 eval   rebuilds models from a checkpoint directory, applies the method's
        end-of-run rule (federation.finalize), and emits the
        disentanglement report, accuracy CSV, embeddings CSV, and
@@ -120,16 +121,33 @@ def _blas_vendor() -> str:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
-def write_manifest(cfg: ExperimentConfig, out_dir: Path) -> None:
+# manifest fields that a bitwise continuation needs unchanged
+NUMERIC_STACK = ("numpy", "blas", "blas_threads")
+
+
+def write_manifest(cfg: ExperimentConfig, out_dir: Path,
+                   resume: bool = False) -> None:
     """Config and seed, plus the numeric stack: results are bitwise
-    reproducible only under the same numpy, BLAS and BLAS thread count."""
+    reproducible only under the same numpy, BLAS and BLAS thread count.
+
+    On resume, one stderr line names each numeric-stack field that differs
+    from the manifest the run was started with.
+    """
     manifest = {"version": f"feddva-{__version__}", "seed": cfg.seed,
                 "config": cfg.to_text(), "numpy": np.__version__,
                 "blas": _blas_vendor(),
                 "blas_threads": {v: os.environ.get(v) for v in
                                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path = out_dir / "manifest.json"
+    if resume and path.is_file():
+        old = json.loads(path.read_text())
+        changed = [f"{k} {old.get(k)!r} -> {manifest[k]!r}"
+                   for k in NUMERIC_STACK if old.get(k) != manifest[k]]
+        if changed:
+            print("warning: --resume: numeric stack differs from "
+                  "manifest.json, so the continuation is not bitwise: "
+                  + "; ".join(changed), file=sys.stderr)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- train
@@ -139,7 +157,7 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text())
-    write_manifest(cfg, out_dir)
+    write_manifest(cfg, out_dir, resume)
 
     history_path = out_dir / "history.jsonl"
     if resume:

@@ -87,6 +87,7 @@ class ExperimentConfig:
         need(1 <= self.m <= self.K, "m", f"must be in [1, K={self.K}]")
         need(self.rounds >= 0, "rounds", "must be >= 0")
         need(self.epochs_per_phase >= 1, "epochs_per_phase", "must be >= 1")
+        need(self.ft_epochs >= 0, "ft_epochs", "must be >= 0")
         need(self.batch_size >= 2, "batch_size", "must be >= 2")
         for key in ("lr_eta", "lr_lambda"):
             need(getattr(self, key) >= 0, key, "must be >= 0")

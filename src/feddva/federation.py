@@ -99,20 +99,44 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
     loss_fn(batch) must return an object with a scalar ``total`` tensor (or
     a bare tensor). batch_stream(phase, epoch) yields batches. Order is
     load-bearing: swapping phases changes the result.
+
+    Each phase marks the group it does not step as not requiring grad, so
+    that group's graph is neither recorded nor walked; every flag is
+    restored on return, also when loss_fn raises. A record keeps the value
+    of ``total``, not its graph.
     """
+    everything = list(local_params) + list(shared_params)
+    flags = [p.requires_grad for p in everything]
     records = []
-    for phase, params, lr in (("local", local_params, lr_local),
-                              ("shared", shared_params, lr_shared)):
-        for epoch in range(epochs_per_phase):
-            for batch in batch_stream(phase, epoch):
-                out = loss_fn(batch)
-                total = out.total if hasattr(out, "total") else out
-                backward(total)
-                sgd_step(params, lr)
-                zero_grad()
-                if phase == "shared":
-                    records.append(out)
+    try:
+        for phase, params, frozen, lr in (
+                ("local", local_params, shared_params, lr_local),
+                ("shared", shared_params, local_params, lr_shared)):
+            for p in params:
+                p.requires_grad = True
+            for p in frozen:
+                p.requires_grad = False
+            for epoch in range(epochs_per_phase):
+                for batch in batch_stream(phase, epoch):
+                    out = loss_fn(batch)
+                    total = out.total if hasattr(out, "total") else out
+                    backward(total)
+                    sgd_step(params, lr)
+                    zero_grad()
+                    if phase == "shared":
+                        records.append(_release_graph(out))
+    finally:
+        for p, flag in zip(everything, flags):
+            p.requires_grad = flag
     return records
+
+
+def _release_graph(out):
+    """``out`` with its ``total`` (or itself, if a bare tensor) detached."""
+    if isinstance(out, Tensor):
+        return out.detach()
+    out.total = out.total.detach()
+    return out
 
 
 def client_update(shard: ClientShard, theta: np.ndarray, cfg,
@@ -168,7 +192,7 @@ def fedavg_client_update(shard: ClientShard, theta: np.ndarray, cfg,
             backward(out.total)
             sgd_step(model.all_parameters(), cfg.lr_lambda)
             model.zero_grad()
-            records.append(out)
+            records.append(_release_graph(out))
     return model.flatten_shared(), records
 
 

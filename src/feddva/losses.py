@@ -4,8 +4,8 @@ The personalized objective combines three terms, all minimized:
 
   total = recon + alpha * r_z + beta * r_c
 
-  recon  binary cross-entropy of the decoded Bernoulli means against the
-         input, summed over pixels and averaged over the batch
+  recon  binary cross-entropy of the input under the decoded Bernoulli
+         logits, summed over pixels and averaged over the batch
   r_z    batch-mean KL(q(z|x) || N(0, I))
   r_c    hinge max(xi + bound, KL(q(c|x,z) || N(0, I))), where bound is
          the Jensen upper estimate of the KL to the batch mixture
@@ -25,14 +25,13 @@ from . import autodiff as ad
 from . import gaussians
 from .autodiff import Tensor
 
-# decoder outputs are squeezed into [eps, 1-eps] before the log so float64
-# sigmoid saturation cannot hit the log domain error
-BCE_EPS = 1e-12
-
-
 @dataclass
 class LossBreakdown:
-    """Scalar graph node for backward plus recorded component values."""
+    """Scalar loss for backward plus recorded component values.
+
+    ``total`` is the graph root until the batch is stepped; the client
+    update then keeps only its value, so a record holds no graph.
+    """
 
     total: Tensor
     recon: float = 0.0
@@ -62,13 +61,11 @@ class LossBreakdown:
         }
 
 
-def bce_recon(p: Tensor, x: Tensor) -> Tensor:
-    """Pixel-sum, batch-mean binary cross-entropy of means p against x."""
-    if p.shape != x.shape:
-        raise ad.ShapeError(f"bce: prediction {p.shape} vs target {x.shape}")
-    safe = p * (1.0 - 2.0 * BCE_EPS) + BCE_EPS
-    ll = ad.mul(x, ad.log(safe)) + ad.mul(1.0 - x, ad.log(1.0 - safe))
-    return ad.scale(ad.sum_all(ll), -1.0 / x.shape[0])
+def bce_recon(logits: Tensor, x: Tensor) -> Tensor:
+    """Pixel-sum, batch-mean binary cross-entropy of x under Bernoulli logits."""
+    if logits.shape != x.shape:
+        raise ad.ShapeError(f"bce: prediction {logits.shape} vs target {x.shape}")
+    return ad.bce_logits(logits, x)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ClientShard
 from .seeding import make_rng
@@ -83,7 +84,7 @@ def latent_traversal(model, shard: ClientShard, anchor: int, steps: int,
     c_cols = np.stack([c_mu[anchor] + o * dir_c for o in offsets])
     for i in range(steps):
         z_batch = np.repeat(z_rows[i][None, :], steps, axis=0)
-        out = model.decode(Tensor(z_batch), Tensor(c_cols))
+        out = ad.sigmoid(model.decode(Tensor(z_batch), Tensor(c_cols)))
         grid[i] = out.data.reshape(steps, h, w)
     return TraversalGrid(images=grid, anchor=anchor)
 
@@ -110,14 +111,17 @@ def mixture_kl_to_standard_mc(mus: np.ndarray, sigmas: np.ndarray,
     n, d = mus.shape
     picks = rng.integers(0, n, size=n_samples)
     x = mus[picks] + sigmas[picks] * rng.standard_normal((n_samples, d))
-    # log mixture density via logsumexp over components
-    comp = np.stack([
-        -0.5 * np.sum(((x - mus[k]) / sigmas[k]) ** 2, axis=1)
-        - np.sum(np.log(sigmas[k])) - 0.5 * d * math.log(2 * math.pi)
-        for k in range(n)
-    ])
+    # log mixture density via logsumexp over components, in one
+    # [n, n_samples] buffer updated in place: each fresh buffer of that size
+    # (10 MB at n=128) costs thousands of page faults on a small heap
+    comp = np.empty((n, n_samples))
+    for k in range(n):
+        comp[k] = (-0.5 * np.sum(((x - mus[k]) / sigmas[k]) ** 2, axis=1)
+                   - np.sum(np.log(sigmas[k])) - 0.5 * d * math.log(2 * math.pi))
     mx = comp.max(axis=0)
-    log_mix = mx + np.log(np.mean(np.exp(comp - mx), axis=0))
+    comp -= mx
+    np.exp(comp, out=comp)
+    log_mix = mx + np.log(np.mean(comp, axis=0))
     log_std = -0.5 * np.sum(x * x, axis=1) - 0.5 * d * math.log(2 * math.pi)
     return float(np.mean(log_mix - log_std))
 

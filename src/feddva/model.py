@@ -3,7 +3,7 @@
 Two shared encoders form a cascade: f(x) infers the universal posterior
 q(z|x), then h(x, z) infers the personalized posterior q(c|x, z) from the
 concatenation of x and z. Each client owns a decoder g(z, c) that maps
-both latents back to pixel Bernoulli means, and (in classifier mode) a
+both latents back to pixel Bernoulli logits, and (in classifier mode) a
 local head over the two posterior means.
 
 Networks are dense MLPs. Trunk weights initialize uniform in
@@ -89,7 +89,7 @@ class Dense:
         self.b = Tensor(b, requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add_rowvec(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
     @property
     def params(self) -> list[Tensor]:
@@ -150,6 +150,11 @@ class FederatedModel:
     def zero_grad(self) -> None:
         ad.zero_grads(self.all_parameters())
 
+    def _check_input(self, x: Tensor) -> None:
+        if x.data.ndim != 2 or x.shape[1] != self.arch.input_dim:
+            raise ShapeError(f"encode: expected [batch, {self.arch.input_dim}], "
+                             f"got {x.shape}")
+
     def flatten_shared(self) -> np.ndarray:
         return _flatten(self.shared_parameters())
 
@@ -195,11 +200,6 @@ class DvaModel(FederatedModel):
 
     # -------------------------------------------------------- forward
 
-    def _check_input(self, x: Tensor) -> None:
-        if x.data.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise ShapeError(f"encode: expected [batch, {self.arch.input_dim}], "
-                             f"got {x.shape}")
-
     def encode_z(self, x: Tensor) -> DiagGaussian:
         self._check_input(x)
         hid = self.f_trunk(x)
@@ -214,10 +214,10 @@ class DvaModel(FederatedModel):
         return DiagGaussian(self.c_mu(hid), self.c_lv(hid))
 
     def decode(self, z: Tensor, c: Tensor) -> Tensor:
+        """Pixel Bernoulli logits; sigmoid of them gives the means."""
         if z.shape[0] != c.shape[0]:
             raise ShapeError(f"decode: z rows {z.shape} vs c rows {c.shape}")
-        hid = self.dec_trunk(ad.concat_last(z, c))
-        return ad.sigmoid(self.dec_out(hid))
+        return self.dec_out(self.dec_trunk(ad.concat_last(z, c)))
 
     def classify(self, z_mu: Tensor, c_mu: Tensor) -> Tensor:
         if self.head is None or self.head_out is None:
@@ -281,11 +281,13 @@ class VanillaVaeModel(FederatedModel):
         self.dec_out = Dense(rng, dec_out, arch.input_dim)
 
     def encode_z(self, x: Tensor) -> DiagGaussian:
+        self._check_input(x)
         hid = self.f_trunk(x)
         return DiagGaussian(self.z_mu(hid), self.z_lv(hid))
 
     def decode(self, z: Tensor) -> Tensor:
-        return ad.sigmoid(self.dec_out(self.dec_trunk(z)))
+        """Pixel Bernoulli logits; sigmoid of them gives the means."""
+        return self.dec_out(self.dec_trunk(z))
 
     def shared_parameters(self) -> list[Tensor]:
         return self.f_trunk.params + self.z_mu.params + self.z_lv.params
@@ -306,6 +308,7 @@ class PixelClassifier(FederatedModel):
         self.out = Dense(rng, trunk_out, arch.n_classes)
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
+        self._check_input(x)
         return self.out(self.trunk(x))
 
     def shared_parameters(self) -> list[Tensor]:

@@ -66,7 +66,11 @@ def check_op_gradients():
             elif kind == "broadcast-add-row":
                 args = [Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True),
                         Tensor(rng.uniform(-1, 1, (1, 2)), requires_grad=True)]
-            elif kind in ("add", "sub", "mul-elementwise"):
+            elif kind == "linear":
+                args = [Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True),
+                        Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True),
+                        Tensor(rng.uniform(-1, 1, (1, 2)), requires_grad=True)]
+            elif kind in ("add", "sub", "mul-elementwise", "bce-logits"):
                 args = [Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True),
                         Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)]
             elif kind == "log":

@@ -119,6 +119,8 @@ def test_criterion_1_gradient_correctness():
         "broadcast-add-row": [(3, 2), (1, 2)],
         "add": [(2, 3)] * 2, "sub": [(2, 3)] * 2,
         "mul-elementwise": [(2, 3)] * 2,
+        "linear": [(2, 3), (3, 2), (1, 2)],
+        "bce-logits": [(2, 3)] * 2,
     }
     count = 0
     for kind_idx, kind in enumerate(ad.OP_TABLE):
@@ -150,9 +152,10 @@ def test_criterion_1_gradient_correctness():
         assert ok, f"loss instance {i}: rel err {err}"
         count += 1
     elapsed = time.monotonic() - start
-    report(1, count == 100 and elapsed < 30,
-           f"{count} finite-difference instances (15 op kinds + full "
-           f"objective), rel err < 1e-4, in {elapsed:.1f}s (< 30s)")
+    # one set of 6 instances per op kind, then 10 full objectives
+    report(1, count == 6 * len(ad.OP_TABLE) + 10 and elapsed < 30,
+           f"{count} finite-difference instances ({len(ad.OP_TABLE)} op kinds "
+           f"+ full objective), rel err < 1e-4, in {elapsed:.1f}s (< 30s)")
 
 
 # ------------------------------------------------------------ criterion 2

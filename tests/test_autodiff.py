@@ -119,7 +119,7 @@ ELEMENTWISE_KINDS = ["relu", "tanh", "sigmoid", "exp", "square", "sum", "mean"]
 SEEDS = {kind: 1000 + i for i, kind in enumerate(
     ["relu", "tanh", "sigmoid", "exp", "square", "sum", "mean", "add", "sub",
      "mul-elementwise", "matmul", "concat-last-axis", "broadcast-add-row",
-     "transpose", "log"])}
+     "transpose", "log", "linear", "bce-logits"])}
 
 
 @pytest.mark.parametrize("kind", ELEMENTWISE_KINDS)
@@ -158,6 +158,8 @@ def test_grad_check_binary_ops(kind):
     ("concat-last-axis", [(2, 3), (2, 2)]),
     ("broadcast-add-row", [(4, 3), (1, 3)]),
     ("transpose", [(3, 2)]),
+    ("linear", [(4, 3), (3, 2), (1, 2)]),
+    ("bce-logits", [(3, 4), (3, 4)]),
 ])
 def test_grad_check_shaped_ops(kind, shapes):
     rng = np.random.default_rng(SEEDS[kind])
@@ -166,6 +168,67 @@ def test_grad_check_shaped_ops(kind, shapes):
         fn = lambda: ad.sum_all(ad.square(forward_op(kind, *args)))
         err, ok = grad_check(fn, args)
         assert ok, f"{kind}: max rel err {err}"
+
+
+def test_bce_logits_matches_probability_formula():
+    rng = np.random.default_rng(21)
+    logits = rng.uniform(-4, 4, (3, 5))
+    x = rng.uniform(0, 1, (3, 5))
+    p = 1.0 / (1.0 + np.exp(-logits))
+    expected = -np.sum(x * np.log(p) + (1 - x) * np.log(1 - p)) / 3
+    got = ad.bce_logits(Tensor(logits), Tensor(x)).item()
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("magnitude", [60.0, 800.0])
+def test_bce_logits_finite_at_saturated_logits(magnitude):
+    logits = Tensor(np.array([[magnitude, -magnitude], [-magnitude, magnitude]]),
+                    requires_grad=True)
+    x = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]), requires_grad=True)
+    loss = ad.bce_logits(logits, x)
+    backward(loss)
+    assert np.isfinite(loss.item())
+    # the matching row costs about nothing, the mismatched row 2 * magnitude
+    assert loss.item() == pytest.approx(magnitude, rel=1e-9)
+    assert np.all(np.isfinite(logits.grad)) and np.all(np.isfinite(x.grad))
+    assert np.allclose(logits.grad, [[0.0, 0.0], [-0.5, 0.5]], atol=1e-12)
+
+
+def test_bce_logits_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="bce-logits"):
+        ad.bce_logits(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+
+def test_linear_equals_matmul_plus_row_bitwise():
+    rng = np.random.default_rng(22)
+    arrays = [rng.uniform(-1, 1, s) for s in ((5, 7), (7, 3), (1, 3))]
+
+    def run(fused):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = ad.linear(x, w, b) if fused else ad.add_rowvec(ad.matmul(x, w), b)
+        backward(ad.sum_all(ad.square(ad.tanh(out))))
+        return [t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)]
+
+    assert run(fused=True) == run(fused=False)
+
+
+def test_linear_shape_errors_name_linear():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"linear.*\(2, 3\).*\(4, 2\)"):
+        ad.linear(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 2))))
+    with pytest.raises(ShapeError, match="linear: bias"):
+        ad.linear(x, Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 5))))
+
+
+def test_sigmoid_tanh_form_accurate_and_saturates():
+    # the tanh form is accurate in absolute terms; far-negative inputs
+    # round to exactly 0 instead of a tiny positive value
+    a = np.array([-800.0, -40.0, -1.5, 0.0, 2.5, 40.0, 800.0])
+    y = ad.sigmoid(Tensor(a)).data
+    with np.errstate(over="ignore"):
+        reference = 1.0 / (1.0 + np.exp(-a))
+    assert np.allclose(y, reference, rtol=0.0, atol=1e-15)
+    assert y[0] == 0.0 and y[-1] == 1.0 and y[3] == 0.5
 
 
 def test_grad_check_scalar_affine():

@@ -99,6 +99,13 @@ def test_latent_dims_and_xi_named():
         ExperimentConfig(xi_per_dim=-0.5)
 
 
+def test_negative_ft_epochs_named():
+    assert ExperimentConfig(task="classify", method="fedavg-ft",
+                            ft_epochs=0).ft_epochs == 0
+    with pytest.raises(ConfigError, match="'ft_epochs'"):
+        ExperimentConfig(task="classify", method="fedavg-ft", ft_epochs=-3)
+
+
 def test_round_trip_lossless():
     cfg = ExperimentConfig(task="classify", method="fedavg-ft", K=9, m=4,
                            lr_eta=0.00125, hidden_dims=(48,), head_hidden=(),
@@ -184,6 +191,31 @@ def test_resume_continues_identically(tmp_path):
     assert a == b
     assert _history_without_walltime(full_out / "history.jsonl")[-1] == \
         _history_without_walltime(part_out / "history.jsonl")[-1]
+
+
+def test_resume_warns_on_changed_numeric_stack(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cfg.rounds = 2
+    cmd_train(cfg)
+    cfg.rounds = 3
+    cmd_train(cfg, resume=True)  # same stack: no warning
+    assert "warning" not in capsys.readouterr().err
+
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["numpy"] = "0.0.1"
+    manifest["blas_threads"] = {"OPENBLAS_NUM_THREADS": "64",
+                                "OMP_NUM_THREADS": None}
+    path.write_text(json.dumps(manifest))
+    cmd_train(cfg, resume=True)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    changed = err[0].split("not bitwise: ", 1)[1].split("; ")
+    assert [c.split()[0] for c in changed] == ["numpy", "blas_threads"]
+    assert changed[0].startswith("numpy '0.0.1' -> ")
+    # the manifest now describes the resuming process again
+    assert json.loads(path.read_text())["numpy"] == np.__version__
 
 
 def _resume_matches_full_run(tmp_path, kill) -> None:

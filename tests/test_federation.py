@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.config import ExperimentConfig
-from feddva.federation import (aggregate, client_update, init_run,
+from feddva.federation import (aggregate, client_update,
+                               fedavg_client_update, init_run,
                                iter_batches, run_experiment, run_rounds,
                                sample_clients, two_phase_update)
 from feddva.seeding import make_rng
@@ -165,7 +166,63 @@ def test_phase_order_is_load_bearing():
     assert run(False) != run(True)
 
 
+def test_two_phase_freezes_the_group_it_does_not_step():
+    local = [Tensor(np.asarray(1.0), requires_grad=True) for _ in range(2)]
+    shared = [Tensor(np.asarray(2.0), requires_grad=True) for _ in range(3)]
+    seen = []
+
+    def loss_fn(phase):
+        seen.append((phase, [p.requires_grad for p in local],
+                     [p.requires_grad for p in shared]))
+        return ad.square(ad.mul(ad.add(local[0], local[1]),
+                                ad.add(ad.add(shared[0], shared[1]), shared[2])))
+
+    def stream(phase, epoch):
+        yield phase
+
+    records = two_phase_update(loss_fn, stream, local, shared, 0.01, 0.01, 2,
+                               lambda: ad.zero_grads(local + shared))
+    assert seen == [("local", [True] * 2, [False] * 3)] * 2 + \
+        [("shared", [False] * 2, [True] * 3)] * 2
+    assert all(p.requires_grad for p in local + shared)
+    # bare-tensor records keep the value only
+    assert len(records) == 2 and all(not r.parents for r in records)
+
+
+def test_two_phase_restores_flags_when_loss_raises():
+    local = [Tensor(np.asarray(1.0), requires_grad=True)]
+    shared = [Tensor(np.asarray(2.0), requires_grad=True)]
+    for failing_phase in ("local", "shared"):
+        def loss_fn(phase):
+            if phase == failing_phase:
+                raise FloatingPointError("non-finite loss")
+            return ad.square(ad.mul(local[0], shared[0]))
+
+        def stream(phase, epoch):
+            yield phase
+
+        with pytest.raises(FloatingPointError):
+            two_phase_update(loss_fn, stream, local, shared, 0.1, 0.1, 1,
+                             lambda: ad.zero_grads(local + shared))
+        assert local[0].requires_grad and shared[0].requires_grad
+
+
 # ----------------------------------------------------------- client update
+
+
+def test_client_update_records_hold_no_graph():
+    cfg = small_cfg()
+    state = init_run(cfg)
+    _, records = client_update(state.shards[0], state.theta, cfg, 1)
+    assert records
+    for r in records:
+        assert r.total.op == "leaf" and not r.total.parents
+        assert not r.total.requires_grad and np.isfinite(r.total.item())
+    cfg_fedavg = small_cfg(task="classify", method="fedavg")
+    state = init_run(cfg_fedavg)
+    _, records = fedavg_client_update(state.shards[0], state.theta,
+                                      cfg_fedavg, 1)
+    assert records and all(r.total.op == "leaf" for r in records)
 
 
 def test_client_update_zero_lrs_are_noop():

@@ -67,16 +67,18 @@ def test_hinge_monotone_in_xi(kl_mix, kl_qc, xi_lo, xi_hi):
 
 
 def test_bce_matches_hand_formula():
-    p = Tensor(np.array([[0.8, 0.2]]))
+    # logits +-log 4 are the Bernoulli means 0.8 and 0.2
+    logits = Tensor(np.array([[math.log(4.0), -math.log(4.0)]]))
+    assert np.allclose(ad.sigmoid(logits).data, [[0.8, 0.2]], rtol=1e-12)
     x = Tensor(np.array([[1.0, 0.0]]))
     expected = -(math.log(0.8) + math.log(0.8))
-    assert bce_recon(p, x).item() == pytest.approx(expected, rel=1e-9)
+    assert bce_recon(logits, x).item() == pytest.approx(expected, rel=1e-9)
 
 
 def test_bce_survives_saturated_sigmoid():
-    p = ad.sigmoid(Tensor(np.array([[60.0, -60.0]])))
+    logits = Tensor(np.array([[60.0, -60.0]]))
     x = Tensor(np.array([[1.0, 0.0]]))
-    val = bce_recon(p, x).item()
+    val = bce_recon(logits, x).item()
     assert np.isfinite(val) and val >= 0.0
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.data import ClientShard, make_toy_digits, partition_uniform_marked
 from feddva.metrics import (DisentanglementReport, TraversalGrid,
@@ -41,7 +42,8 @@ def test_traversal_single_step_is_anchor_recon():
     shard = shards[0]
     grid = latent_traversal(model, shard, anchor=2, steps=1, span=1.0)
     z_mu, c_mu = model.posterior_means(Tensor(shard.flat_images()))
-    recon = model.decode(Tensor(z_mu.data[2:3]), Tensor(c_mu.data[2:3])).data
+    recon = ad.sigmoid(model.decode(Tensor(z_mu.data[2:3]),
+                                    Tensor(c_mu.data[2:3]))).data
     assert np.allclose(grid.images[0, 0].reshape(-1), recon[0])
 
 

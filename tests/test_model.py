@@ -69,7 +69,7 @@ def test_decode_range_and_shape():
     m = fresh_model(seed=5)
     z = Tensor(np.random.default_rng(0).normal(size=(4, ARCH.d_z)))
     c = Tensor(np.random.default_rng(1).normal(size=(4, ARCH.d_c)))
-    out = m.decode(z, c)
+    out = ad.sigmoid(m.decode(z, c))
     assert out.shape == (4, ARCH.input_dim)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
@@ -135,6 +135,16 @@ def test_cascade_gradient_reaches_theta_z_through_c_path():
     g = np.concatenate([p.grad.reshape(-1) if p.grad is not None
                         else np.zeros(p.data.size) for p in m.theta_z])
     assert np.abs(g).max() > 0.0
+
+
+def test_input_check_names_encode_for_every_model():
+    arch = ArchitectureConfig(input_dim=9, hidden_dims=(5,), d_z=2, d_c=2,
+                              n_classes=3)
+    bad = Tensor(np.zeros((2, 7)))
+    with pytest.raises(ad.ShapeError, match=r"encode.*\[batch, 9\].*\(2, 7\)"):
+        VanillaVaeModel(arch, np.random.default_rng(0)).encode_z(bad)
+    with pytest.raises(ad.ShapeError, match=r"encode.*\[batch, 9\].*\(2, 7\)"):
+        PixelClassifier(arch, np.random.default_rng(0)).predict_logits(bad)
 
 
 def test_vanilla_model_round_trip():
