@@ -254,12 +254,13 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    # max(x, 0) maps -0.0 to +0.0 like a select on x > 0, and keeps NaN
+    y = np.maximum(a.data, 0.0)
 
     def back(g, grads):
-        _sink(grads, a, g * mask)
+        _sink(grads, a, g * (y > 0))
 
-    return Tensor._from_op(np.where(mask, a.data, 0.0), "relu", (a,), back)
+    return Tensor._from_op(y, "relu", (a,), back)
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -13,6 +13,21 @@ Closed forms, with sigma^2 = exp(log_var):
 The mixture bound is what gets differentiated; it dominates the exact
 mixture KL, so using it inside a minimized penalty is conservative. The
 self term j = i is included (it contributes 0).
+
+Its batch mean (1/n^2) sum_ij KL(q_i || q_j) needs no n x n matrix. With
+per-column sums over the batch, c = mu - mean(mu), inv = exp(-lv) and
+var = exp(lv), the log-variance differences cancel over i, j and
+
+  bound = 1/2 [ sum_l ((sum_i c^2 + sum_i var) sum_j inv
+                       + n sum_j c^2 inv) / n^2 - d ]
+
+which costs O(n d). Centring mu first keeps the mean-square terms free of
+the cancellation that the expansion mu_i^2 - 2 mu_i mu_j + mu_j^2 suffers
+under a large common offset.
+
+The three functions the loss calls are one graph node each, with the
+vector-Jacobian product written out; each skips a parent that does not
+require grad, so a frozen encoder group gets no gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError, Tensor, _sink
 
 
 @dataclass
@@ -51,15 +66,34 @@ def reparameterize(q: DiagGaussian, rng: np.random.Generator) -> Tensor:
 
     eps enters as a constant, so gradients flow to mu and log_var only.
     """
-    eps = Tensor(rng.standard_normal(q.mu.shape))
-    sigma = ad.exp(ad.scale(q.log_var, 0.5))
-    return ad.add(q.mu, ad.mul(sigma, eps))
+    mu, lv = q.mu, q.log_var
+    eps = rng.standard_normal(mu.shape)
+    sigma = np.exp(lv.data * 0.5)
+
+    def back(g, grads):
+        _sink(grads, mu, g)
+        if lv.requires_grad:
+            _sink(grads, lv, g * eps * sigma * 0.5)
+
+    return Tensor._from_op(mu.data + sigma * eps, "reparameterize", (mu, lv), back)
 
 
 def kl_to_standard(q: DiagGaussian) -> Tensor:
     """Batch-mean KL(q || N(0, I)) as a scalar graph node."""
-    core = ad.square(q.mu) - q.log_var + ad.exp(q.log_var) - 1.0
-    return ad.scale(ad.sum_all(core), 0.5 / q.batch)
+    mu, lv = q.mu, q.log_var
+    scale = 0.5 / q.batch
+    var = np.exp(lv.data)
+
+    def back(g, grads):
+        gs = float(g) * scale
+        if mu.requires_grad:
+            _sink(grads, mu, gs * 2.0 * mu.data)
+        if lv.requires_grad:
+            _sink(grads, lv, gs * var - gs)
+
+    core = mu.data * mu.data - lv.data + var - 1.0
+    return Tensor._from_op(np.asarray(core.sum() * scale), "kl-to-standard",
+                           (mu, lv), back)
 
 
 def kl_pairwise(q_i: DiagGaussian, q_j: DiagGaussian) -> Tensor:
@@ -72,58 +106,31 @@ def kl_pairwise(q_i: DiagGaussian, q_j: DiagGaussian) -> Tensor:
     return ad.scale(ad.sum_all(core), 0.5)
 
 
-def kl_to_batch_mixture(q_row: DiagGaussian, batch: DiagGaussian) -> Tensor:
-    """Jensen upper bound on KL(q_row || uniform mixture of batch rows).
+def mixture_bound_batch_mean(batch: DiagGaussian) -> Tensor:
+    """Batch mean over i of the Jensen bound, (1/n^2) sum_ij KL(q_i || q_j).
 
-    Average of kl_pairwise(q_row, q_j) over every row j; the batch is
-    expected to contain q_row itself, whose term is 0.
-    """
-    n = batch.batch
-    if n == 0:
-        raise ValueError("kl_to_batch_mixture: mixture batch is empty")
-    if q_row.mu.shape[-1] != batch.dim:
-        raise ShapeError(f"kl_to_batch_mixture: row dim {q_row.mu.shape[-1]} "
-                         f"vs batch dim {batch.dim}")
-    # per-row terms against the whole batch via row broadcasting
-    mu_diff = ad.add_rowvec(ad.neg(batch.mu), q_row.mu)           # mu_i - mu_j
-    lv_diff = ad.add_rowvec(ad.neg(batch.log_var), q_row.log_var)  # lv_i - lv_j
-    mahal = ad.mul(ad.square(mu_diff), ad.exp(ad.neg(batch.log_var)))
-    core = mahal - lv_diff + ad.exp(lv_diff) - 1.0
-    return ad.scale(ad.sum_all(core), 0.5 / n)
-
-
-def pairwise_kl_matrix(batch: DiagGaussian) -> Tensor:
-    """[n, n] matrix M with M[i, j] = KL(q_i || q_j), built from matmuls.
-
-    Expansion of the closed form:
-      sum_l (mu_i - mu_j)^2 / s_j^2 = mu^2 inv^T - 2 mu (mu inv)^T + rowb(sum mu_j^2 inv_j)
-      sum_l s_i^2 / s_j^2          = var inv^T
-      sum_l (lv_i - lv_j)          = colb(rowsum lv) - rowb(rowsum lv)
-    with inv = exp(-log_var), var = exp(log_var).
+    The centred closed form of the module docstring, O(n d), one node.
     """
     n, d = batch.mu.shape
-    inv = ad.exp(ad.neg(batch.log_var))
-    var = ad.exp(batch.log_var)
-    inv_t = ad.transpose(inv)
-    ones_col = Tensor(np.ones((d, 1)))
-    ones_row_n = Tensor(np.ones((1, n)))
-
-    t_sq = ad.matmul(ad.square(batch.mu), inv_t)
-    t_cross = ad.matmul(batch.mu, ad.transpose(ad.mul(batch.mu, inv)))
-    s_j = ad.transpose(ad.matmul(ad.mul(ad.square(batch.mu), inv), ones_col))  # [1, n]
-    t_var = ad.matmul(var, inv_t)
-
-    lv_sum = ad.matmul(batch.log_var, ones_col)                 # [n, 1]
-    lv_col = ad.matmul(lv_sum, ones_row_n)                      # lv_i broadcast
-    lv_row = ad.matmul(Tensor(np.ones((n, 1))), ad.transpose(lv_sum))
-
-    mahal = ad.add_rowvec(t_sq - ad.scale(t_cross, 2.0), s_j)
-    core = mahal - (lv_col - lv_row) + t_var - float(d)
-    return ad.scale(core, 0.5)
-
-
-def mixture_bound_batch_mean(batch: DiagGaussian) -> Tensor:
-    """Batch mean over i of the Jensen bound: mean of the pairwise-KL matrix."""
-    if batch.batch == 0:
+    if n == 0:
         raise ValueError("mixture_bound_batch_mean: batch is empty")
-    return ad.mean_all(pairwise_kl_matrix(batch))
+    mu, lv = batch.mu, batch.log_var
+    c = mu.data - mu.data.mean(axis=0)
+    inv = np.exp(-lv.data)
+    var = np.exp(lv.data)
+    c2 = c * c
+    c2_inv = c2 * inv
+    sum_inv = inv.sum(axis=0)
+    spread = c2.sum(axis=0) + var.sum(axis=0)       # sum_i c^2 + sum_i var
+    total = float((spread * sum_inv + n * c2_inv.sum(axis=0)).sum())
+
+    def back(g, grads):
+        gn = float(g) / (n * n)
+        if mu.requires_grad:
+            c_inv = c * inv
+            _sink(grads, mu, gn * (c * sum_inv + n * c_inv - c_inv.sum(axis=0)))
+        if lv.requires_grad:
+            _sink(grads, lv, (0.5 * gn) * (var * sum_inv - inv * spread - n * c2_inv))
+
+    return Tensor._from_op(np.asarray(0.5 * (total / (n * n) - d)),
+                           "mixture-bound", (mu, lv), back)

@@ -53,35 +53,44 @@ def _grad_ok(loss_fn, params, tol=1e-4):
     return worst < tol, f"max rel err {worst:.2e}"
 
 
+# operand shapes of one sample input per op kind, for every finite-difference
+# sweep over OP_TABLE; unequal dims so a transposed VJP cannot conform
+OP_SAMPLE_SHAPES: dict[str, list[tuple[int, int]]] = {
+    "matmul": [(2, 3), (3, 4)],
+    "add": [(2, 3)] * 2,
+    "sub": [(2, 3)] * 2,
+    "mul-elementwise": [(2, 3)] * 2,
+    "relu": [(2, 3)],
+    "tanh": [(2, 3)],
+    "sigmoid": [(2, 3)],
+    "exp": [(2, 3)],
+    "log": [(2, 3)],
+    "square": [(2, 3)],
+    "sum": [(2, 3)],
+    "mean": [(2, 3)],
+    "concat-last-axis": [(2, 3), (2, 2)],
+    "broadcast-add-row": [(4, 3), (1, 3)],
+    "transpose": [(3, 2)],
+    "linear": [(4, 3), (3, 2), (1, 2)],
+    "bce-logits": [(3, 4)] * 2,
+}
+
+
 def check_op_gradients():
     rng = np.random.default_rng(0)
     for kind in ad.OP_TABLE:
+        shapes = OP_SAMPLE_SHAPES[kind]
         for _ in range(3):
-            if kind == "matmul":
-                args = [Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True),
-                        Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)]
-            elif kind == "concat-last-axis":
-                args = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True),
-                        Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)]
-            elif kind == "broadcast-add-row":
-                args = [Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True),
-                        Tensor(rng.uniform(-1, 1, (1, 2)), requires_grad=True)]
-            elif kind == "linear":
-                args = [Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True),
-                        Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True),
-                        Tensor(rng.uniform(-1, 1, (1, 2)), requires_grad=True)]
-            elif kind in ("add", "sub", "mul-elementwise", "bce-logits"):
-                args = [Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True),
-                        Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)]
-            elif kind == "log":
-                args = [Tensor(rng.uniform(0.5, 2.0, (2, 3)), requires_grad=True)]
+            if kind == "log":
+                args = [Tensor(rng.uniform(0.5, 2.0, shapes[0]), requires_grad=True)]
             elif kind in ("relu", "square"):
                 # away from the relu kink / the ill-conditioned quartic origin
-                x = rng.uniform(-1, 1, (2, 3))
+                x = rng.uniform(-1, 1, shapes[0])
                 x += np.sign(x) * 0.2
                 args = [Tensor(x, requires_grad=True)]
             else:
-                args = [Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)]
+                args = [Tensor(rng.uniform(-1, 1, s), requires_grad=True)
+                        for s in shapes]
             ok, detail = _grad_ok(
                 lambda: ad.sum_all(ad.square(ad.forward_op(kind, *args))), args)
             if not ok:

@@ -1,9 +1,16 @@
 """Independent oracles used to freeze expected values in the test suite.
 
-Nothing here touches the reverse-mode machinery under test: gradients come
-from central finite differences over repeated forward evaluations, KL
-values from Monte Carlo sampling of the defining integrals, and raster
-checks from per-pixel membership loops.
+Most of what is here does not touch the reverse-mode machinery under test:
+gradients come from central finite differences over repeated forward
+evaluations, KL values from Monte Carlo sampling of the defining
+integrals, and raster checks from per-pixel membership loops.
+
+Two oracles are graph forms built from generic autodiff ops, so their
+backward is the engine's own chain rule rather than a hand-written VJP:
+``kl_to_batch_mixture`` (the Jensen bound of one row against a batch,
+row-broadcast) and ``pairwise_kl_matrix`` (the full n x n matrix of
+pairwise KLs, from matmuls). The fused closed-form node
+``gaussians.mixture_bound_batch_mean`` is checked against them.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ import math
 
 import numpy as np
 
-from feddva.autodiff import Tensor
+import feddva.autodiff as ad
+from feddva.autodiff import ShapeError, Tensor
 
 
 def finite_diff_grads(loss_fn, params, h=1e-4):
@@ -106,6 +114,59 @@ def mc_kl_mixture_to_standard(mus, sigmas, n_samples, rng):
     vals = mixture_logpdf(x, mus, sigmas) \
         - diag_gauss_logpdf(x, np.zeros(d), np.ones(d))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+
+
+# ------------------------------------------------------ graph-form KL oracles
+
+
+def kl_to_batch_mixture(q_row, batch):
+    """Jensen upper bound on KL(q_row || uniform mixture of batch rows).
+
+    Average of the pairwise KL of q_row against every row j of the batch,
+    expected to contain q_row itself, whose term is 0.
+    """
+    n = batch.batch
+    if n == 0:
+        raise ValueError("kl_to_batch_mixture: mixture batch is empty")
+    if q_row.mu.shape[-1] != batch.dim:
+        raise ShapeError(f"kl_to_batch_mixture: row dim {q_row.mu.shape[-1]} "
+                         f"vs batch dim {batch.dim}")
+    # per-row terms against the whole batch via row broadcasting
+    mu_diff = ad.add_rowvec(ad.neg(batch.mu), q_row.mu)           # mu_i - mu_j
+    lv_diff = ad.add_rowvec(ad.neg(batch.log_var), q_row.log_var)  # lv_i - lv_j
+    mahal = ad.mul(ad.square(mu_diff), ad.exp(ad.neg(batch.log_var)))
+    core = mahal - lv_diff + ad.exp(lv_diff) - 1.0
+    return ad.scale(ad.sum_all(core), 0.5 / n)
+
+
+def pairwise_kl_matrix(batch):
+    """[n, n] matrix M with M[i, j] = KL(q_i || q_j), built from matmuls.
+
+    Expansion of the closed form:
+      sum_l (mu_i - mu_j)^2 / s_j^2 = mu^2 inv^T - 2 mu (mu inv)^T + rowb(sum mu_j^2 inv_j)
+      sum_l s_i^2 / s_j^2          = var inv^T
+      sum_l (lv_i - lv_j)          = colb(rowsum lv) - rowb(rowsum lv)
+    with inv = exp(-log_var), var = exp(log_var).
+    """
+    n, d = batch.mu.shape
+    inv = ad.exp(ad.neg(batch.log_var))
+    var = ad.exp(batch.log_var)
+    inv_t = ad.transpose(inv)
+    ones_col = Tensor(np.ones((d, 1)))
+    ones_row_n = Tensor(np.ones((1, n)))
+
+    t_sq = ad.matmul(ad.square(batch.mu), inv_t)
+    t_cross = ad.matmul(batch.mu, ad.transpose(ad.mul(batch.mu, inv)))
+    s_j = ad.transpose(ad.matmul(ad.mul(ad.square(batch.mu), inv), ones_col))  # [1, n]
+    t_var = ad.matmul(var, inv_t)
+
+    lv_sum = ad.matmul(batch.log_var, ones_col)                 # [n, 1]
+    lv_col = ad.matmul(lv_sum, ones_row_n)                      # lv_i broadcast
+    lv_row = ad.matmul(Tensor(np.ones((n, 1))), ad.transpose(lv_sum))
+
+    mahal = ad.add_rowvec(t_sq - ad.scale(t_cross, 2.0), s_j)
+    core = mahal - (lv_col - lv_row) + t_var - float(d)
+    return ad.scale(core, 0.5)
 
 
 # ------------------------------------------------------------- rasterizers

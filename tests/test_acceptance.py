@@ -20,14 +20,14 @@ from feddva.data import make_toy_digits, parse_idx, write_idx
 from feddva.federation import (aggregate, client_update, init_run,
                                run_experiment, run_rounds, sample_clients,
                                two_phase_update)
-from feddva.gaussians import (DiagGaussian, kl_pairwise, kl_to_batch_mixture,
-                              kl_to_standard)
+from feddva.gaussians import DiagGaussian, kl_pairwise, kl_to_standard
 from feddva.losses import hinge_max, loss_feddva
 from feddva.metrics import (TraversalGrid, accuracy_per_client,
                             clustering_report, export_grid_image, parse_pgm)
 from feddva.model import ArchitectureConfig, DvaModel
-from oracles import (grad_check, leaf, mc_kl_between_gaussians,
-                     mc_kl_to_mixture)
+from feddva.selftest import OP_SAMPLE_SHAPES
+from oracles import (grad_check, kl_to_batch_mixture, leaf,
+                     mc_kl_between_gaussians, mc_kl_to_mixture)
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "runs" / "acceptance"
 
@@ -113,27 +113,19 @@ def classification_runs():
 
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
-    shapes = {
-        "matmul": [(2, 3), (3, 2)],
-        "concat-last-axis": [(2, 2), (2, 3)],
-        "broadcast-add-row": [(3, 2), (1, 2)],
-        "add": [(2, 3)] * 2, "sub": [(2, 3)] * 2,
-        "mul-elementwise": [(2, 3)] * 2,
-        "linear": [(2, 3), (3, 2), (1, 2)],
-        "bce-logits": [(2, 3)] * 2,
-    }
     count = 0
     for kind_idx, kind in enumerate(ad.OP_TABLE):
+        shapes = OP_SAMPLE_SHAPES[kind]
         for i in range(6):
             rng = np.random.default_rng(1000 * i + kind_idx)
             if kind == "log":
-                args = [leaf(rng, (2, 3), lo=0.5, hi=2.0)]
+                args = [leaf(rng, shapes[0], lo=0.5, hi=2.0)]
             elif kind in ("relu", "square"):
-                x = leaf(rng, (2, 3))
+                x = leaf(rng, shapes[0])
                 x.data += np.sign(x.data) * 0.15
                 args = [x]
             else:
-                args = [leaf(rng, s) for s in shapes.get(kind, [(2, 3)])]
+                args = [leaf(rng, s) for s in shapes]
             fn = lambda: ad.sum_all(ad.square(ad.forward_op(kind, *args)))
             err, ok = grad_check(fn, args, h=1e-4, tol=1e-4)
             assert ok, f"{kind} instance {i}: rel err {err}"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import feddva.autodiff as ad
 from feddva.autodiff import (DomainError, GraphError, ShapeError, Tensor,
                              backward, forward_op, sgd_step, topo_order)
+from feddva.selftest import OP_SAMPLE_SHAPES
 from oracles import grad_check, leaf
 
 
@@ -18,6 +19,22 @@ def test_matmul_hand_value():
 def test_relu_definition():
     x = Tensor([-1.0, 0.0, 2.0])
     assert np.array_equal(ad.relu(x).data, [0.0, 0.0, 2.0])
+
+
+def test_relu_bitwise_equals_select_on_finite_inputs():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((5, 37))
+    x[0, :4] = [-0.0, 0.0, -0.0, 5e-324]
+    x[1, :3] = [-5e-324, 1e308, -1e308]
+    y = ad.relu(Tensor(x)).data
+    assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert not np.signbit(y).any()
+
+
+def test_relu_keeps_nan():
+    # a NaN pre-activation must surface, not be zeroed into a finite loss
+    y = ad.relu(Tensor([np.nan, -1.0, 1.0])).data
+    assert np.isnan(y[0]) and y[1] == 0.0 and y[2] == 1.0
 
 
 def test_concat_last_axis_shape():
@@ -153,14 +170,14 @@ def test_grad_check_binary_ops(kind):
         assert ok, f"{kind}: max rel err {err}"
 
 
+def test_op_sample_shapes_name_every_op_kind():
+    assert set(OP_SAMPLE_SHAPES) == set(ad.OP_TABLE)
+
+
 @pytest.mark.parametrize("kind,shapes", [
-    ("matmul", [(2, 3), (3, 4)]),
-    ("concat-last-axis", [(2, 3), (2, 2)]),
-    ("broadcast-add-row", [(4, 3), (1, 3)]),
-    ("transpose", [(3, 2)]),
-    ("linear", [(4, 3), (3, 2), (1, 2)]),
-    ("bce-logits", [(3, 4), (3, 4)]),
-])
+    (kind, OP_SAMPLE_SHAPES[kind])
+    for kind in ("matmul", "concat-last-axis", "broadcast-add-row",
+                 "transpose", "linear", "bce-logits")])
 def test_grad_check_shaped_ops(kind, shapes):
     rng = np.random.default_rng(SEEDS[kind])
     for _ in range(20):

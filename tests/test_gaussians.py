@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward
-from feddva.gaussians import (DiagGaussian, kl_pairwise,
-                              kl_to_batch_mixture, kl_to_standard,
-                              mixture_bound_batch_mean, pairwise_kl_matrix,
-                              reparameterize)
-from oracles import grad_check, mc_kl_between_gaussians, mc_kl_to_mixture
+from feddva.gaussians import (DiagGaussian, kl_pairwise, kl_to_standard,
+                              mixture_bound_batch_mean, reparameterize)
+from oracles import (grad_check, kl_to_batch_mixture, mc_kl_between_gaussians,
+                     mc_kl_to_mixture, pairwise_kl_matrix)
 
 
 def gauss(mu, log_var, requires_grad=False):
@@ -181,3 +180,87 @@ def test_reparameterize_deterministic_under_seed():
     a = reparameterize(q, np.random.default_rng(77)).data
     b = reparameterize(q, np.random.default_rng(77)).data
     assert a.tobytes() == b.tobytes()
+
+
+def max_rel(a, b):
+    """max |a - b| over max |b|: relative to the array's scale."""
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def pairwise_loop_mean(mus, lvs):
+    n = mus.shape[0]
+    rows = [gauss(mus[i:i + 1], lvs[i:i + 1]) for i in range(n)]
+    return float(np.mean([[kl_pairwise(a, b).item() for b in rows] for a in rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40),
+       d=st.integers(min_value=1, max_value=6),
+       lv_spread=st.floats(min_value=0.0, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=10**6))
+def test_mixture_bound_closed_form_matches_matrix_oracle(n, d, lv_spread, seed):
+    rng = np.random.default_rng(seed)
+    mus = rng.uniform(-2.0, 2.0, (n, d))
+    lvs = rng.uniform(-lv_spread, lv_spread, (n, d))
+
+    def value_and_grads(fn):
+        q = gauss(mus, lvs, requires_grad=True)
+        out = fn(q)
+        backward(out)
+        return out.item(), q.mu.grad, q.log_var.grad
+
+    got = value_and_grads(mixture_bound_batch_mean)
+    want = value_and_grads(lambda q: ad.mean_all(pairwise_kl_matrix(q)))
+    assert got[0] == pytest.approx(want[0], rel=1e-10)
+    assert max_rel(got[1], want[1]) < 1e-10
+    assert max_rel(got[2], want[2]) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixture_bound_survives_common_mu_offset(seed):
+    rng = np.random.default_rng(seed)
+    mus = rng.uniform(-2.0, 2.0, (12, 3)) + 1e3
+    lvs = rng.uniform(-1.5, 1.5, (12, 3))
+    got = mixture_bound_batch_mean(gauss(mus, lvs)).item()
+    assert got == pytest.approx(pairwise_loop_mean(mus, lvs), rel=1e-9)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 5), (64, 4), (256, 16)])
+def test_mixture_bound_exactly_zero_at_prior(n, d):
+    # the constraint monitor KL(q_c || prior) - bound starts at exactly 0
+    q = gauss(np.zeros((n, d)), np.zeros((n, d)))
+    assert mixture_bound_batch_mean(q).item() == 0.0
+    assert kl_to_standard(q).item() - mixture_bound_batch_mean(q).item() == 0.0
+
+
+def test_mixture_bound_empty_batch_errors():
+    empty = DiagGaussian(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))))
+    with pytest.raises(ValueError, match="empty"):
+        mixture_bound_batch_mean(empty)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 3), (5, 3)])
+def test_fused_gaussian_nodes_pass_finite_difference(n, d):
+    rng = np.random.default_rng(40 + n * d)
+    q = random_gauss(rng, n, d, requires_grad=True)
+    params = [q.mu, q.log_var]
+    for fn in (kl_to_standard, mixture_bound_batch_mean,
+               lambda q: ad.sum_all(ad.square(
+                   reparameterize(q, np.random.default_rng(5))))):
+        err, ok = grad_check(lambda: fn(q), params)
+        assert ok, err
+
+
+@pytest.mark.parametrize("frozen", ["mu", "log_var"])
+@pytest.mark.parametrize("fn", [
+    kl_to_standard, mixture_bound_batch_mean,
+    lambda q: ad.sum_all(reparameterize(q, np.random.default_rng(3)))],
+    ids=["kl_to_standard", "mixture_bound", "reparameterize"])
+def test_fused_nodes_skip_frozen_parent(fn, frozen):
+    rng = np.random.default_rng(8)
+    q = random_gauss(rng, 4, 3, requires_grad=True)
+    getattr(q, frozen).requires_grad = False
+    backward(fn(q))
+    live = q.log_var if frozen == "mu" else q.mu
+    assert getattr(q, frozen).grad is None
+    assert live.grad is not None and np.all(np.isfinite(live.grad))
