@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 from dataclasses import fields
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .federation import MODEL_KIND, ServerState, finalize, init_run, run_rounds
+from .federation import ServerState, finalize, init_run, run_rounds
 from .metrics import (accuracy_per_client, clustering_report,
                       export_accuracy_csv, export_embeddings_csv,
                       export_grid_image, latent_traversal, write_report_json)
@@ -68,6 +69,13 @@ def _ckpt_dir(out_dir: Path, round_idx: int) -> Path:
     return out_dir / "checkpoints" / f"round_{round_idx:05d}"
 
 
+def _round_of(ckpt_dir: Path) -> int | None:
+    """The round a round_NNNNN checkpoint directory holds; None for any
+    other name."""
+    match = re.fullmatch(r"round_([0-9]+)", ckpt_dir.name)
+    return int(match[1]) if match else None
+
+
 def save_state(cfg: ExperimentConfig, state: ServerState, out_dir: Path) -> None:
     """Write the round's checkpoint directory, atomically.
 
@@ -88,6 +96,10 @@ def save_state(cfg: ExperimentConfig, state: ServerState, out_dir: Path) -> None
 
 
 def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
+    round_idx = _round_of(ckpt_dir)
+    if round_idx is None:
+        raise ConfigError(f"checkpoint directory {str(ckpt_dir)!r} is not "
+                          "named round_NNNNN")
     state = init_run(cfg)
     kind, arch, theta = load_checkpoint(ckpt_dir / "shared.ckpt")
     if arch != state.arch:
@@ -97,7 +109,7 @@ def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
     for s in state.shards:
         _, _, local = load_checkpoint(ckpt_dir / f"client_{s.id:03d}.ckpt")
         s.model.load_local(local)
-    state.round = int(ckpt_dir.name.split("_")[1])
+    state.round = round_idx
     return state
 
 
@@ -107,10 +119,9 @@ def latest_checkpoint(out_dir: Path, n_clients: int) -> Path | None:
     if not root.is_dir():
         return None
     files = ["shared.ckpt"] + [f"client_{k:03d}.ckpt" for k in range(n_clients)]
-    complete = [d for d in root.iterdir()
-                if d.name.startswith("round_") and d.name[6:].isdigit()
+    complete = [d for d in root.iterdir() if _round_of(d) is not None
                 and all((d / f).is_file() for f in files)]
-    return max(complete, key=lambda d: int(d.name[6:]), default=None)
+    return max(complete, key=_round_of, default=None)
 
 
 def _blas_vendor() -> str:
@@ -211,7 +222,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_dir: str | None = None) -> int:
     eval_dir = out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
 
-    if MODEL_KIND[cfg.method] == "dva":
+    if cfg.method == "feddva":
         model = state.shards[0].model  # shared encoders are identical
         report = clustering_report(model, state.shards, xi=cfg.xi_value(),
                                    seed=cfg.seed)

@@ -92,7 +92,7 @@ class ExperimentConfig:
         for key in ("lr_eta", "lr_lambda"):
             need(getattr(self, key) >= 0, key, "must be >= 0")
         for key in ("alpha", "beta", "gamma", "xi_per_dim", "xi_scale",
-                    "concentration", "traversal_span"):
+                    "traversal_span"):
             need(getattr(self, key) >= 0, key, "must be >= 0")
         need(self.concentration > 0, "concentration", "must be > 0")
         need(0 <= self.holdout_frac < 1, "holdout_frac", "must be in [0, 1)")
@@ -106,6 +106,9 @@ class ExperimentConfig:
         if self.method == "vanilla-vae":
             need(self.task == "reconstruct", "method",
                  "vanilla-vae requires task = reconstruct")
+        if self.method != "feddva":
+            need(self.n_elbo_samples == 1, "n_elbo_samples",
+                 f"must be 1 for {self.method}, whose loss draws one sample")
 
     def xi_value(self) -> float:
         return self.xi_per_dim * self.d_c * self.xi_scale

@@ -13,6 +13,9 @@ averages the sampled vectors with weights renormalized over the sampled
 set. Clients within a round all start from the same incoming vector, so
 serial execution equals any parallel schedule.
 
+FedAvg is the case with no local group: a phase whose group is empty is
+skipped, so its client runs phase 2 alone, which steps every parameter.
+
 After the last round, finalize applies each method's end-of-run rule; the
 in-memory run, the CLI's eval of a checkpoint and the scripts all use it.
 """
@@ -29,7 +32,7 @@ from .data import (ClientShard, Dataset, load_idx_dataset, make_toy_digits,
                    partition_label_skew, partition_uniform_marked)
 from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
                      loss_feddva, loss_vanilla_vae)
-from .model import ArchitectureConfig, build_model
+from .model import MODEL_CLASS, ArchitectureConfig
 from .seeding import derive_seed, make_rng
 
 
@@ -92,18 +95,20 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
-                     lr_local: float, lr_shared: float, epochs_per_phase: int,
-                     zero_grad) -> list:
+                     lr_local: float, lr_shared: float,
+                     epochs_per_phase: int) -> list:
     """Run the decoder-then-encoder coordinate update; returns loss records.
 
     loss_fn(batch) must return an object with a scalar ``total`` tensor (or
     a bare tensor). batch_stream(phase, epoch) yields batches. Order is
-    load-bearing: swapping phases changes the result.
+    load-bearing: swapping phases changes the result. A phase whose group
+    is empty is skipped.
 
     Each phase marks the group it does not step as not requiring grad, so
-    that group's graph is neither recorded nor walked; every flag is
-    restored on return, also when loss_fn raises. A record keeps the value
-    of ``total``, not its graph.
+    that group's graph is neither recorded nor walked and backward writes
+    gradients only to the stepped group, which sgd_step then clears. Every
+    flag is restored on return, also when loss_fn raises. A record keeps the
+    value of ``total``, not its graph.
     """
     everything = list(local_params) + list(shared_params)
     flags = [p.requires_grad for p in everything]
@@ -112,6 +117,8 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
         for phase, params, frozen, lr in (
                 ("local", local_params, shared_params, lr_local),
                 ("shared", shared_params, local_params, lr_shared)):
+            if not params:
+                continue
             for p in params:
                 p.requires_grad = True
             for p in frozen:
@@ -122,7 +129,6 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                     total = out.total if hasattr(out, "total") else out
                     backward(total)
                     sgd_step(params, lr)
-                    zero_grad()
                     if phase == "shared":
                         records.append(_release_graph(out))
     finally:
@@ -139,20 +145,26 @@ def _release_graph(out):
     return out
 
 
-def client_update(shard: ClientShard, theta: np.ndarray, cfg,
-                  round_idx: int) -> tuple[np.ndarray, list[LossBreakdown]]:
-    """One ClientUpdate: load shared params, phase 1 then phase 2."""
+def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
+                  epochs: int | None = None
+                  ) -> tuple[np.ndarray, list[LossBreakdown]]:
+    """One ClientUpdate: load shared params, phase 1 then phase 2.
+
+    epochs overrides cfg.epochs_per_phase; fedavg-ft fine-tunes with it.
+    """
     if shard.n == 0:
         raise ValueError(f"client_update: shard {shard.id} is empty")
     model = shard.model
     model.load_shared(theta)
     x_all = shard.flat_images()
     labels = shard.labels
+    local = model.local_parameters()
 
     def batch_stream(phase, epoch):
-        rng = make_rng(cfg.seed, "batches", shard.id, round_idx, phase, epoch)
-        for idx in iter_batches(shard.n, cfg.batch_size, rng):
-            yield idx
+        # a model with no local group draws its batches under FedAvg's label
+        label = phase if local else "fedavg"
+        rng = make_rng(cfg.seed, "batches", shard.id, round_idx, label, epoch)
+        yield from iter_batches(shard.n, cfg.batch_size, rng)
 
     noise_rng = make_rng(cfg.seed, "noise", shard.id, round_idx)
 
@@ -160,39 +172,20 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg,
         x = Tensor(x_all[idx])
         if cfg.method == "vanilla-vae":
             return loss_vanilla_vae(x, model, noise_rng)
+        if cfg.method != "feddva":
+            return loss_fedavg_classifier(x, labels[idx], model)
         if cfg.task == "classify":
             return loss_classifier(x, labels[idx], model, shard.xi, cfg.alpha,
                                    cfg.beta, cfg.gamma, noise_rng,
                                    frozen=cfg.classifier_frozen,
-                                   latents=cfg.classifier_latents)
+                                   latents=cfg.classifier_latents,
+                                   n_samples=cfg.n_elbo_samples)
         return loss_feddva(x, model, shard.xi, cfg.alpha, cfg.beta, noise_rng,
                            n_samples=cfg.n_elbo_samples)
 
-    records = two_phase_update(loss_fn, batch_stream, model.local_parameters(),
-                               model.shared_parameters(), cfg.lr_eta,
-                               cfg.lr_lambda, cfg.epochs_per_phase,
-                               model.zero_grad)
-    return model.flatten_shared(), records
-
-
-def fedavg_client_update(shard: ClientShard, theta: np.ndarray, cfg,
-                         round_idx: int, epochs: int | None = None
-                         ) -> tuple[np.ndarray, list[LossBreakdown]]:
-    """Vanilla FedAvg local pass: all parameters trained and returned."""
-    model = shard.model
-    model.load_shared(theta)
-    x_all = shard.flat_images()
-    records = []
-    n_epochs = cfg.epochs_per_phase if epochs is None else epochs
-    for epoch in range(n_epochs):
-        rng = make_rng(cfg.seed, "batches", shard.id, round_idx, "fedavg", epoch)
-        for idx in iter_batches(shard.n, cfg.batch_size, rng):
-            out = loss_fedavg_classifier(Tensor(x_all[idx]), shard.labels[idx],
-                                         model)
-            backward(out.total)
-            sgd_step(model.all_parameters(), cfg.lr_lambda)
-            model.zero_grad()
-            records.append(_release_graph(out))
+    records = two_phase_update(
+        loss_fn, batch_stream, local, model.shared_parameters(), cfg.lr_eta,
+        cfg.lr_lambda, cfg.epochs_per_phase if epochs is None else epochs)
     return model.flatten_shared(), records
 
 
@@ -255,25 +248,20 @@ def build_arch(cfg, ds: Dataset) -> ArchitectureConfig:
                               head_hidden=cfg.head_hidden)
 
 
-MODEL_KIND = {"feddva": "dva", "vanilla-vae": "vanilla",
-              "fedavg": "pixel", "fedavg-ft": "pixel"}
-
-
 def init_run(cfg) -> ServerState:
     ds = build_dataset(cfg)
     arch = build_arch(cfg, ds)
     shards, plan = build_shards(cfg, ds)
-    kind = MODEL_KIND[cfg.method]
+    model_class = MODEL_CLASS[cfg.method]
     for s in shards:
-        s.model = build_model(kind, arch, make_rng(cfg.seed, "client-init", s.id))
-    server_model = build_model(kind, arch, make_rng(cfg.seed, "server-init"))
+        s.model = model_class(arch, make_rng(cfg.seed, "client-init", s.id))
+    server_model = model_class(arch, make_rng(cfg.seed, "server-init"))
     return ServerState(theta=server_model.flatten_shared(), round=0,
                        shards=shards, arch=arch, method=cfg.method, plan=plan)
 
 
 def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
     """Advance the federation from state.round to cfg.rounds."""
-    is_baseline = cfg.method in ("fedavg", "fedavg-ft")
     weights = {s.id: s.weight for s in state.shards}
     eval_latents = cfg.classifier_latents
     while state.round < cfg.rounds:
@@ -285,12 +273,7 @@ def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
         client_stats: dict[int, dict] = {}
         for k in sampled:
             shard = state.shards[k]
-            if is_baseline:
-                theta_k, records = fedavg_client_update(shard, state.theta,
-                                                        cfg, r)
-            else:
-                theta_k, records = client_update(shard, state.theta, cfg, r)
-            updates[k] = theta_k
+            updates[k], records = client_update(shard, state.theta, cfg, r)
             client_stats[k] = _summarize(records, shard.xi)
         state.theta = aggregate(updates, weights)
         if cfg.task == "classify" and (r % cfg.eval_every == 0 or r == cfg.rounds):
@@ -318,8 +301,8 @@ def finalize(cfg, state: ServerState) -> ServerState:
     for s in state.shards:
         s.model.load_shared(state.theta)
         if cfg.method == "fedavg-ft":
-            fedavg_client_update(s, state.theta, cfg, state.round + 1,
-                                 epochs=cfg.ft_epochs)
+            client_update(s, state.theta, cfg, state.round + 1,
+                          epochs=cfg.ft_epochs)
     return state
 
 

@@ -17,7 +17,7 @@ the runtime constraint monitor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class LossBreakdown:
     kl_c_to_mixture: float = 0.0
     constraint_slack: float = 0.0
     cross_entropy: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @property
     def monitor(self) -> float:
@@ -158,20 +157,17 @@ def loss_feddva(x: Tensor, model, xi: float, alpha: float, beta: float,
 def loss_classifier(x: Tensor, labels: np.ndarray, model, xi: float,
                     alpha: float, beta: float, gamma: float,
                     rng: np.random.Generator, frozen: bool = False,
-                    latents: str = "both") -> LossBreakdown:
-    """ELBO plus gamma-weighted cross-entropy on the posterior means.
+                    latents: str = "both", n_samples: int = 1) -> LossBreakdown:
+    """ELBO (n_samples draws) plus gamma-weighted cross-entropy on the
+    posterior means.
 
     frozen=True detaches the means so the CE gradient stops at the head.
     """
-    breakdown = loss_feddva(x, model, xi, alpha, beta, rng)
+    breakdown = loss_feddva(x, model, xi, alpha, beta, rng, n_samples=n_samples)
     z_mu, c_mu = model.posterior_means(x)
     if frozen:
         z_mu, c_mu = z_mu.detach(), c_mu.detach()
-    if latents == "z":
-        c_mu = Tensor(np.zeros_like(c_mu.data))
-    elif latents == "c":
-        z_mu = Tensor(np.zeros_like(z_mu.data))
-    ce = cross_entropy(model.classify(z_mu, c_mu), labels)
+    ce = cross_entropy(model.classify(z_mu, c_mu, latents), labels)
     breakdown.total = breakdown.total + ad.scale(ce, gamma)
     breakdown.cross_entropy = ce.item()
     return breakdown

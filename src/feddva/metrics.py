@@ -55,13 +55,12 @@ def _principal_axis(points: np.ndarray) -> np.ndarray:
 
 
 def latent_traversal(model, shard: ClientShard, anchor: int, steps: int,
-                     span: float, use_pca: bool = True,
-                     axis_z: int = 0, axis_c: int = 0) -> TraversalGrid:
+                     span: float) -> TraversalGrid:
     """Grid of decodes: rows sweep z, columns sweep c around the anchor.
 
     Sweeps run along the top principal axis of the shard's posterior means
-    (or a raw coordinate axis with use_pca=False); the center cell is the
-    anchor's own reconstruction from its means.
+    (the first coordinate axis for a one-sample shard); the center cell is
+    the anchor's own reconstruction from its means.
     """
     if not 0 <= anchor < shard.n:
         raise ValueError(f"anchor {anchor} outside shard of {shard.n} samples")
@@ -70,12 +69,12 @@ def latent_traversal(model, shard: ClientShard, anchor: int, steps: int,
     if not (np.isfinite(z_mu).all() and np.isfinite(c_mu).all()):
         raise ValueError("latent_traversal: non-finite posterior means; "
                          "model looks untrained or diverged")
-    if use_pca and shard.n > 1:
+    if shard.n > 1:
         dir_z = _principal_axis(z_mu)
         dir_c = _principal_axis(c_mu)
     else:
-        dir_z = np.eye(z_mu.shape[1])[axis_z]
-        dir_c = np.eye(c_mu.shape[1])[axis_c]
+        dir_z = np.eye(z_mu.shape[1])[0]
+        dir_c = np.eye(c_mu.shape[1])[0]
     offsets = np.linspace(-span, span, steps) if steps > 1 else np.zeros(1)
     h = shard.images.shape[1]
     w = shard.images.shape[2]

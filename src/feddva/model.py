@@ -102,6 +102,7 @@ class Mlp:
     def __init__(self, rng, dims: tuple[int, ...], activation: str):
         self.layers = [Dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
         self.act = ACTIVATIONS[activation]
+        self.out_dim = dims[-1]
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:
@@ -177,26 +178,21 @@ class DvaModel(FederatedModel):
         h = arch.hidden_dims
 
         self.f_trunk = Mlp(rng, (arch.input_dim, *h), act)
-        f_out = h[-1] if h else arch.input_dim
-        self.z_mu = Dense(rng, f_out, arch.d_z, zero=True)
-        self.z_lv = Dense(rng, f_out, arch.d_z, zero=True)
+        self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
+        self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
 
         self.h_trunk = Mlp(rng, (arch.input_dim + arch.d_z, *h), act)
-        h_out = h[-1] if h else arch.input_dim + arch.d_z
-        self.c_mu = Dense(rng, h_out, arch.d_c, zero=True)
-        self.c_lv = Dense(rng, h_out, arch.d_c, zero=True)
+        self.c_mu = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
+        self.c_lv = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
 
-        dec_hidden = tuple(reversed(h))
-        self.dec_trunk = Mlp(rng, (arch.d_z + arch.d_c, *dec_hidden), act)
-        dec_out = dec_hidden[-1] if dec_hidden else arch.d_z + arch.d_c
-        self.dec_out = Dense(rng, dec_out, arch.input_dim)
+        self.dec_trunk = Mlp(rng, (arch.d_z + arch.d_c, *reversed(h)), act)
+        self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
 
         self.head: Mlp | None = None
         self.head_out: Dense | None = None
         if arch.n_classes is not None:
             self.head = Mlp(rng, (arch.d_z + arch.d_c, *arch.head_hidden), act)
-            head_in = arch.head_hidden[-1] if arch.head_hidden else arch.d_z + arch.d_c
-            self.head_out = Dense(rng, head_in, arch.n_classes)
+            self.head_out = Dense(rng, self.head.out_dim, arch.n_classes)
 
     # -------------------------------------------------------- forward
 
@@ -219,9 +215,18 @@ class DvaModel(FederatedModel):
             raise ShapeError(f"decode: z rows {z.shape} vs c rows {c.shape}")
         return self.dec_out(self.dec_trunk(ad.concat_last(z, c)))
 
-    def classify(self, z_mu: Tensor, c_mu: Tensor) -> Tensor:
+    def classify(self, z_mu: Tensor, c_mu: Tensor,
+                 latents: str = "both") -> Tensor:
+        """Head logits over the posterior means; latents "z" or "c" feeds
+        that mean alone and zeros the other."""
         if self.head is None or self.head_out is None:
             raise ValueError("classify: model built without a classifier head")
+        if latents == "z":
+            c_mu = Tensor(np.zeros_like(c_mu.data))
+        elif latents == "c":
+            z_mu = Tensor(np.zeros_like(z_mu.data))
+        elif latents != "both":
+            raise ValueError(f"unknown latents mode {latents!r}")
         return self.head_out(self.head(ad.concat_last(z_mu, c_mu)))
 
     def posteriors(self, x: Tensor) -> tuple[DiagGaussian, DiagGaussian]:
@@ -235,14 +240,7 @@ class DvaModel(FederatedModel):
         return qz.mu, qc.mu
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
-        z_mu, c_mu = self.posterior_means(x)
-        if latents == "z":
-            c_mu = Tensor(np.zeros_like(c_mu.data))
-        elif latents == "c":
-            z_mu = Tensor(np.zeros_like(z_mu.data))
-        elif latents != "both":
-            raise ValueError(f"unknown latents mode {latents!r}")
-        return self.classify(z_mu, c_mu)
+        return self.classify(*self.posterior_means(x), latents)
 
     # ----------------------------------------------------- parameters
 
@@ -272,13 +270,10 @@ class VanillaVaeModel(FederatedModel):
         act = arch.activation
         h = arch.hidden_dims
         self.f_trunk = Mlp(rng, (arch.input_dim, *h), act)
-        f_out = h[-1] if h else arch.input_dim
-        self.z_mu = Dense(rng, f_out, arch.d_z, zero=True)
-        self.z_lv = Dense(rng, f_out, arch.d_z, zero=True)
-        dec_hidden = tuple(reversed(h))
-        self.dec_trunk = Mlp(rng, (arch.d_z, *dec_hidden), act)
-        dec_out = dec_hidden[-1] if dec_hidden else arch.d_z
-        self.dec_out = Dense(rng, dec_out, arch.input_dim)
+        self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
+        self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
+        self.dec_trunk = Mlp(rng, (arch.d_z, *reversed(h)), act)
+        self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
 
     def encode_z(self, x: Tensor) -> DiagGaussian:
         self._check_input(x)
@@ -304,8 +299,7 @@ class PixelClassifier(FederatedModel):
             raise ValueError("PixelClassifier needs n_classes")
         self.arch = arch
         self.trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims), arch.activation)
-        trunk_out = arch.hidden_dims[-1] if arch.hidden_dims else arch.input_dim
-        self.out = Dense(rng, trunk_out, arch.n_classes)
+        self.out = Dense(rng, self.trunk.out_dim, arch.n_classes)
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
         self._check_input(x)
@@ -315,11 +309,6 @@ class PixelClassifier(FederatedModel):
         return self.trunk.params + self.out.params
 
 
-def build_model(kind: str, arch: ArchitectureConfig, rng: np.random.Generator):
-    if kind == "dva":
-        return DvaModel(arch, rng)
-    if kind == "vanilla":
-        return VanillaVaeModel(arch, rng)
-    if kind == "pixel":
-        return PixelClassifier(arch, rng)
-    raise ValueError(f"unknown model kind {kind!r}")
+# the model each method trains
+MODEL_CLASS = {"feddva": DvaModel, "vanilla-vae": VanillaVaeModel,
+               "fedavg": PixelClassifier, "fedavg-ft": PixelClassifier}

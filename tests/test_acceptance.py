@@ -251,7 +251,7 @@ def test_criterion_4_federation_algebra():
         groups = ([q], [p]) if swapped else ([p], [q])
         two_phase_update(lambda _: ad.square(ad.mul(p, q)),
                          lambda phase, epoch: iter([0]), groups[0], groups[1],
-                         0.1, 0.1, 1, lambda: ad.zero_grads([p, q]))
+                         0.1, 0.1, 1)
         return p.item(), q.item()
 
     assert run_order(False) != run_order(True)

@@ -89,6 +89,15 @@ def test_method_task_compatibility():
         ExperimentConfig(method="vanilla-vae", task="classify")
 
 
+def test_elbo_samples_only_for_feddva():
+    assert ExperimentConfig(task="classify", n_elbo_samples=2).n_elbo_samples == 2
+    for method, task in (("vanilla-vae", "reconstruct"),
+                         ("fedavg", "classify"), ("fedavg-ft", "classify")):
+        assert ExperimentConfig(method=method, task=task).n_elbo_samples == 1
+        with pytest.raises(ConfigError, match="'n_elbo_samples'.*" + method):
+            ExperimentConfig(method=method, task=task, n_elbo_samples=2)
+
+
 def test_latent_dims_and_xi_named():
     assert ExperimentConfig(d_z=4, d_c=4).xi_value() == 32.0
     with pytest.raises(ConfigError, match="'d_z'"):
@@ -337,6 +346,22 @@ def test_eval_missing_checkpoint_errors(tmp_path):
     cfg = ExperimentConfig(output_dir=str(tmp_path / "nothing"))
     with pytest.raises(ConfigError, match="no checkpoint"):
         cmd_eval(cfg)
+
+
+def test_eval_rejects_checkpoint_dir_not_named_by_round(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_init(cfg):
+        raise AssertionError("init_run ran before the directory name check")
+
+    monkeypatch.setattr("feddva.cli.init_run", no_init)
+    for name in ("best", "round_final"):
+        ckpt = tmp_path / name
+        ckpt.mkdir()
+        rc = main(["eval", "--output_dir", str(tmp_path),
+                   "--checkpoint-dir", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "round_NNNNN" in err and name in err
 
 
 def test_cli_main_selftest_and_errors(tmp_path, capsys):

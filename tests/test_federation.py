@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.config import ExperimentConfig
-from feddva.federation import (aggregate, client_update,
-                               fedavg_client_update, init_run,
+from feddva.federation import (aggregate, client_update, init_run,
                                iter_batches, run_experiment, run_rounds,
                                sample_clients, two_phase_update)
 from feddva.seeding import make_rng
@@ -134,8 +133,7 @@ def test_two_phase_matches_hand_coordinate_descent():
         yield 0
 
     two_phase_update(loss_fn, batch_stream, [a], [b], lr_local=0.1,
-                     lr_shared=0.1, epochs_per_phase=2,
-                     zero_grad=lambda: ad.zero_grads([a, b]))
+                     lr_shared=0.1, epochs_per_phase=2)
 
     # hand iteration: d/da (ab)^2 = 2ab^2
     a_val, b_val = 1.0, 2.0
@@ -159,8 +157,7 @@ def test_phase_order_is_load_bearing():
             yield 0
 
         groups = ([b], [a]) if swapped else ([a], [b])
-        two_phase_update(loss_fn, stream, groups[0], groups[1], 0.1, 0.1, 1,
-                         lambda: ad.zero_grads([a, b]))
+        two_phase_update(loss_fn, stream, groups[0], groups[1], 0.1, 0.1, 1)
         return a.item(), b.item()
 
     assert run(False) != run(True)
@@ -180,8 +177,7 @@ def test_two_phase_freezes_the_group_it_does_not_step():
     def stream(phase, epoch):
         yield phase
 
-    records = two_phase_update(loss_fn, stream, local, shared, 0.01, 0.01, 2,
-                               lambda: ad.zero_grads(local + shared))
+    records = two_phase_update(loss_fn, stream, local, shared, 0.01, 0.01, 2)
     assert seen == [("local", [True] * 2, [False] * 3)] * 2 + \
         [("shared", [False] * 2, [True] * 3)] * 2
     assert all(p.requires_grad for p in local + shared)
@@ -202,12 +198,71 @@ def test_two_phase_restores_flags_when_loss_raises():
             yield phase
 
         with pytest.raises(FloatingPointError):
-            two_phase_update(loss_fn, stream, local, shared, 0.1, 0.1, 1,
-                             lambda: ad.zero_grads(local + shared))
+            two_phase_update(loss_fn, stream, local, shared, 0.1, 0.1, 1)
         assert local[0].requires_grad and shared[0].requires_grad
 
 
+def test_two_phase_skips_a_phase_with_an_empty_group():
+    a = Tensor(np.asarray(1.0), requires_grad=True)
+    phases = []
+
+    def stream(phase, epoch):
+        phases.append((phase, epoch))
+        yield 0
+
+    records = two_phase_update(lambda _: ad.square(a), stream, [], [a],
+                               0.1, 0.1, 3)
+    assert phases == [("shared", 0), ("shared", 1), ("shared", 2)]
+    assert len(records) == 3
+    assert a.item() == pytest.approx(0.8 ** 3, rel=1e-12)
+
+
 # ----------------------------------------------------------- client update
+
+
+def test_fedavg_client_runs_one_loss_per_batch(monkeypatch):
+    import feddva.federation as federation
+
+    cfg = small_cfg(task="classify", method="fedavg", epochs_per_phase=3,
+                    partition="label-skew", d_z=2, d_c=2)
+    state = init_run(cfg)
+    shard = state.shards[0]
+    calls = []
+    loss = federation.loss_fedavg_classifier
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "loss_fedavg_classifier", counted)
+    _, records = client_update(shard, state.theta, cfg, 1)
+    batches = len(list(iter_batches(shard.n, cfg.batch_size,
+                                    np.random.default_rng(0))))
+    assert len(calls) == len(records) == cfg.epochs_per_phase * batches
+
+
+@pytest.mark.parametrize("over", [
+    dict(),
+    dict(task="classify", partition="label-skew"),
+    dict(method="vanilla-vae"),
+    dict(task="classify", method="fedavg", partition="label-skew"),
+    dict(task="classify", method="fedavg-ft", partition="label-skew")])
+def test_client_update_leaves_no_gradient(over):
+    cfg = small_cfg(**over)
+    state = init_run(cfg)
+    client_update(state.shards[0], state.theta, cfg, 1)
+    assert all(p.grad is None
+               for p in state.shards[0].model.all_parameters())
+
+
+def test_classify_client_update_uses_elbo_sample_count():
+    thetas = []
+    for n_samples in (1, 2):
+        cfg = small_cfg(task="classify", partition="label-skew",
+                        n_elbo_samples=n_samples)
+        state = init_run(cfg)
+        thetas.append(client_update(state.shards[0], state.theta, cfg, 1)[0])
+    assert thetas[0].tobytes() != thetas[1].tobytes()
 
 
 def test_client_update_records_hold_no_graph():
@@ -220,8 +275,7 @@ def test_client_update_records_hold_no_graph():
         assert not r.total.requires_grad and np.isfinite(r.total.item())
     cfg_fedavg = small_cfg(task="classify", method="fedavg")
     state = init_run(cfg_fedavg)
-    _, records = fedavg_client_update(state.shards[0], state.theta,
-                                      cfg_fedavg, 1)
+    _, records = client_update(state.shards[0], state.theta, cfg_fedavg, 1)
     assert records and all(r.total.op == "leaf" for r in records)
 
 
@@ -350,9 +404,8 @@ def test_fedavg_single_client_is_centralized():
     cfg = small_cfg(task="classify", method="fedavg", K=1, m=1, rounds=1,
                     partition="label-skew", d_z=2, d_c=2)
     state = run_experiment(cfg)
-    from feddva.federation import fedavg_client_update
     fresh = init_run(cfg)
-    theta_k, _ = fedavg_client_update(fresh.shards[0], fresh.theta, cfg, 1)
+    theta_k, _ = client_update(fresh.shards[0], fresh.theta, cfg, 1)
     assert state.theta.tobytes() == theta_k.tobytes()
 
 

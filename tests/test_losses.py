@@ -184,6 +184,20 @@ def test_classifier_gamma_zero_reduces_to_feddva():
     assert b.total.item() == pytest.approx(ref.total.item(), rel=1e-12)
 
 
+def test_classifier_passes_sample_count_to_elbo():
+    m = tiny_model(seed=5)
+    x = tiny_batch(n=4)
+    labels = np.array([0, 1, 2, 0])
+    b = loss_classifier(x, labels, m, xi=1.0, alpha=1.0, beta=0.5, gamma=0.0,
+                        rng=np.random.default_rng(9), n_samples=2)
+    ref = loss_feddva(x, m, xi=1.0, alpha=1.0, beta=0.5,
+                      rng=np.random.default_rng(9), n_samples=2)
+    one = loss_feddva(x, m, xi=1.0, alpha=1.0, beta=0.5,
+                      rng=np.random.default_rng(9))
+    assert b.total.item() == pytest.approx(ref.total.item(), rel=1e-12)
+    assert b.total.item() != pytest.approx(one.total.item(), rel=1e-6)
+
+
 def test_classifier_frozen_mode_keeps_encoder_ce_free():
     m = tiny_model(seed=6)
     x = tiny_batch(n=4)

@@ -5,8 +5,9 @@ import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward
 from feddva.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from feddva.gaussians import kl_to_standard
-from feddva.model import (ArchitectureConfig, DvaModel, PixelClassifier,
-                          VanillaVaeModel, build_model)
+from feddva.config import METHODS
+from feddva.model import (MODEL_CLASS, ArchitectureConfig, DvaModel,
+                          PixelClassifier, VanillaVaeModel)
 
 ARCH = ArchitectureConfig(input_dim=12, hidden_dims=(8,), d_z=3, d_c=2,
                           n_classes=4, head_hidden=(6,))
@@ -168,12 +169,9 @@ def test_pixel_classifier_all_params_shared():
     assert logits.shape == (2, 3)
 
 
-def test_build_model_dispatch():
-    arch = ArchitectureConfig(input_dim=4, hidden_dims=(), d_z=1, d_c=1,
-                              n_classes=2, head_hidden=())
-    assert isinstance(build_model("dva", arch, np.random.default_rng(0)), DvaModel)
-    with pytest.raises(ValueError, match="unknown model kind"):
-        build_model("conv", arch, np.random.default_rng(0))
+def test_model_class_covers_every_method():
+    assert set(MODEL_CLASS) == set(METHODS)
+    assert MODEL_CLASS["feddva"] is DvaModel
 
 
 def test_arch_config_text_round_trip():
