@@ -29,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .federation import ServerState, finalize, init_run, run_rounds
+from .federation import (ServerState, finalize, init_run, run_rounds,
+                         worker_count)
 from .metrics import (accuracy_per_client, clustering_report,
                       export_accuracy_csv, export_embeddings_csv,
                       export_grid_image, latent_traversal, write_report_json)
@@ -124,31 +125,29 @@ def latest_checkpoint(out_dir: Path, n_clients: int) -> Path | None:
     return max(complete, key=_round_of, default=None)
 
 
-def _blas_vendor() -> str:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy < 1.26 has no dict mode
-        return "unknown"
-    return f"{blas.get('name')} {blas.get('version')}"
-
-
-# manifest fields that a bitwise continuation needs unchanged
-NUMERIC_STACK = ("numpy", "blas", "blas_threads")
+# manifest fields that a bitwise continuation needs unchanged; workers is
+# not one: the bits do not depend on it
+NUMERIC_STACK = ("numpy", "blas", "blas_threads", "train_blas_threads")
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: Path,
                    resume: bool = False) -> None:
     """Config and seed, plus the numeric stack: results are bitwise
     reproducible only under the same numpy, BLAS and BLAS thread count.
+    train_blas_threads is the count client updates ran at (1 where it can
+    be pinned), blas_threads the inherited one that eval runs at; workers
+    is the number of processes each round's clients ran on.
 
     On resume, one stderr line names each numeric-stack field that differs
     from the manifest the run was started with.
     """
     manifest = {"version": f"feddva-{__version__}", "seed": cfg.seed,
                 "config": cfg.to_text(), "numpy": np.__version__,
-                "blas": _blas_vendor(),
+                "blas": blas.vendor(),
                 "blas_threads": {v: os.environ.get(v) for v in
-                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+                "train_blas_threads": blas.train_threads(),
+                "workers": worker_count(cfg.m)}
     path = out_dir / "manifest.json"
     if resume and path.is_file():
         old = json.loads(path.read_text())

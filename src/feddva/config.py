@@ -103,6 +103,11 @@ class ExperimentConfig:
         if self.method in ("fedavg", "fedavg-ft"):
             need(self.task == "classify", "method",
                  f"{self.method} requires task = classify")
+            # the pixel classifier has no latents to mask or freeze
+            need(self.classifier_latents == "both", "classifier_latents",
+                 f"must be 'both' for {self.method}, which has no latents")
+            need(not self.classifier_frozen, "classifier_frozen",
+                 f"must be false for {self.method}, which has no latents")
         if self.method == "vanilla-vae":
             need(self.task == "reconstruct", "method",
                  "vanilla-vae requires task = reconstruct")

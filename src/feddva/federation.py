@@ -10,8 +10,12 @@ phases over its local batches:
 The client's decoder persists in its shard across rounds and never
 travels; only the phase-2 shared vector returns to the server, which
 averages the sampled vectors with weights renormalized over the sampled
-set. Clients within a round all start from the same incoming vector, so
-serial execution equals any parallel schedule.
+set in sorted client order. Clients within a round all start from the same
+incoming vector and draw from seeds that do not depend on the schedule, so
+ClientExecutor runs them on every core the process may use: the parent
+plus one forked child per further core, each client update at one BLAS
+thread. theta, checkpoints and history (timings aside) are bitwise the
+same for any number of cores; ``taskset`` limits them.
 
 FedAvg is the case with no local group: a phase whose group is empty is
 skipped, so its client runs phase 2 alone, which steps every parameter.
@@ -22,11 +26,17 @@ in-memory run, the CLI's eval of a checkpoint and the scripts all use it.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .autodiff import Tensor, backward, sgd_step
 from .data import (ClientShard, Dataset, load_idx_dataset, make_toy_digits,
                    partition_label_skew, partition_uniform_marked)
@@ -211,6 +221,175 @@ def _eval_accuracy(model, shard: ClientShard, latents: str) -> float | None:
     return float(np.mean(pred == shard.holdout_labels))
 
 
+# ------------------------------------------------------------- executor
+
+
+class ClientError(RuntimeError):
+    """A client update failed; the message names the client and round."""
+
+
+def available_cores() -> int:
+    """The CPUs this process may run on; ``taskset`` narrows them."""
+    return len(os.sched_getaffinity(0))
+
+
+def worker_count(n_clients: int) -> int:
+    """Processes a ClientExecutor runs n_clients on: one per core, or one
+    where the BLAS thread count cannot be pinned."""
+    return min(available_cores(), n_clients) if blas.can_pin() else 1
+
+
+def split_clients(sizes: dict[int, int], n_procs: int) -> list[list[int]]:
+    """Client ids per process: largest shard first (ties by client id),
+    each to the process with the fewest rows so far (ties by index)."""
+    plan: list[list[int]] = [[] for _ in range(n_procs)]
+    rows = [0] * n_procs
+    for k in sorted(sizes, key=lambda k: (-sizes[k], k)):
+        p = min(range(n_procs), key=lambda i: (rows[i], i))
+        plan[p].append(k)
+        rows[p] += sizes[k]
+    return plan
+
+
+def _update_clients(cfg, shards, round_idx, epochs, theta, tasks) -> list:
+    """Run (client id, local vector) tasks from theta, one after another;
+    (id, shared vector, local vector, summary) per task."""
+    results = []
+    for k, local in tasks:
+        shard = shards[k]
+        start = time.perf_counter()
+        try:
+            shard.model.load_local(local)
+            shared, records = client_update(shard, theta, cfg, round_idx,
+                                            epochs=epochs)
+        except Exception as exc:
+            raise ClientError(f"client {k} failed in round {round_idx}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+        summary = _summarize(records, shard.xi)
+        summary["update_s"] = time.perf_counter() - start
+        results.append((k, shared, shard.model.flatten_local(), summary))
+    return results
+
+
+def _serve(conn, parent_ends, cfg, shards) -> None:
+    """A forked worker: answer each message with _update_clients' results
+    (or the ClientError) until a None message or the parent's end closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    for end in parent_ends:  # inherited copies would hide the parent's exit
+        end.close()
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        try:
+            reply = _update_clients(cfg, shards, *message)
+        except ClientError as exc:
+            detail = "".join(traceback.format_exception(exc.__cause__))
+            reply = ClientError(f"{exc}\n\nin worker process "
+                                f"{os.getpid()}:\n{detail}")
+        conn.send(reply)
+
+
+class ClientExecutor:
+    """Runs client updates on this process plus forked children.
+
+    Entering pins BLAS to one thread and forks ``worker_count(n_clients)
+    - 1`` children, each with the shards as they were at the fork and one
+    Pipe to this process; leaving stops every child (at once when leaving
+    on an exception) and restores the thread count. ``run`` splits clients
+    with split_clients, this process taking the first share, and loads each
+    client's updated shared and local vectors into its shard, so the shards
+    end as a serial loop leaves them. The result of an update does not
+    depend on the process it ran in.
+    """
+
+    def __init__(self, cfg, shards: list[ClientShard], n_clients: int):
+        self.cfg = cfg
+        self.shards = shards
+        self.n_procs = worker_count(n_clients)
+        self._children: list[tuple] = []  # (process, connection)
+        self._threads = None
+
+    def __enter__(self) -> "ClientExecutor":
+        if blas.can_pin():
+            self._threads = blas.threads()
+            blas.set_threads(1)  # before the fork, so children inherit it
+        try:
+            ctx = multiprocessing.get_context("fork")
+            for _ in range(self.n_procs - 1):
+                here, there = ctx.Pipe()
+                ends = [c for _, c in self._children] + [here]
+                proc = ctx.Process(target=_serve, daemon=True,
+                                   args=(there, ends, self.cfg, self.shards))
+                proc.start()
+                there.close()
+                self._children.append((proc, here))
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            for proc, conn in self._children:
+                if exc_type is None:
+                    try:
+                        conn.send(None)
+                    except OSError:
+                        pass
+                else:
+                    proc.terminate()
+                conn.close()
+            for proc, _ in self._children:
+                proc.join()
+        finally:
+            self._children = []
+            if self._threads is not None:
+                blas.set_threads(self._threads)
+                self._threads = None
+
+    def run(self, clients: list[int], theta: np.ndarray, round_idx: int,
+            epochs: int | None = None) -> dict[int, dict]:
+        """Update each client from theta; its summary by client id."""
+        plan = split_clients({k: self.shards[k].n for k in clients},
+                             self.n_procs)
+
+        def message(ks):
+            return (round_idx, epochs, theta,
+                    [(k, self.shards[k].model.flatten_local()) for k in ks])
+
+        busy = [(proc, conn, ks) for (proc, conn), ks
+                in zip(self._children, plan[1:]) if ks]
+        for proc, conn, ks in busy:
+            self._talk(proc, ks, round_idx, conn.send, message(ks))
+        results = _update_clients(self.cfg, self.shards, *message(plan[0]))
+        for proc, conn, ks in busy:
+            reply = self._talk(proc, ks, round_idx, conn.recv)
+            if isinstance(reply, ClientError):
+                raise reply
+            results += reply
+        stats = {}  # in client order, as the serial loop made it
+        for k, shared, local, summary in sorted(results, key=lambda r: r[0]):
+            model = self.shards[k].model
+            model.load_shared(shared)
+            model.load_local(local)
+            stats[k] = summary
+        return stats
+
+    @staticmethod
+    def _talk(proc, ks, round_idx, call, *args):
+        try:
+            return call(*args)
+        except (EOFError, OSError):
+            proc.join(timeout=1.0)
+            raise ClientError(f"worker process {proc.pid} exited (code "
+                              f"{proc.exitcode}) in round {round_idx} while "
+                              f"updating clients {ks}") from None
+
+
 # ----------------------------------------------------------------- runs
 
 
@@ -264,30 +443,30 @@ def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
     """Advance the federation from state.round to cfg.rounds."""
     weights = {s.id: s.weight for s in state.shards}
     eval_latents = cfg.classifier_latents
-    while state.round < cfg.rounds:
-        r = state.round + 1
-        start = time.monotonic()
-        sampled = sample_clients(make_rng(cfg.seed, "sample", r),
-                                 cfg.K, cfg.m)
-        updates: dict[int, np.ndarray] = {}
-        client_stats: dict[int, dict] = {}
-        for k in sampled:
-            shard = state.shards[k]
-            updates[k], records = client_update(shard, state.theta, cfg, r)
-            client_stats[k] = _summarize(records, shard.xi)
-        state.theta = aggregate(updates, weights)
-        if cfg.task == "classify" and (r % cfg.eval_every == 0 or r == cfg.rounds):
-            for k in sampled:
-                model = state.shards[k].model
-                model.load_shared(state.theta)
-                acc = _eval_accuracy(model, state.shards[k], eval_latents)
-                client_stats[k]["accuracy"] = acc
-        record = RoundRecord(round=r, sampled=sampled, clients=client_stats,
-                             wall_time=time.monotonic() - start)
-        state.history.append(record)
-        state.round = r
-        if on_round is not None:
-            on_round(state, record)
+    with ClientExecutor(cfg, state.shards, cfg.m) as executor:
+        while state.round < cfg.rounds:
+            r = state.round + 1
+            start = time.monotonic()
+            sampled = sample_clients(make_rng(cfg.seed, "sample", r),
+                                     cfg.K, cfg.m)
+            client_stats = executor.run(sampled, state.theta, r)
+            state.theta = aggregate(
+                {k: state.shards[k].model.flatten_shared() for k in sampled},
+                weights)
+            if cfg.task == "classify" and (r % cfg.eval_every == 0
+                                           or r == cfg.rounds):
+                for k in sampled:
+                    model = state.shards[k].model
+                    model.load_shared(state.theta)
+                    acc = _eval_accuracy(model, state.shards[k], eval_latents)
+                    client_stats[k]["accuracy"] = acc
+            record = RoundRecord(round=r, sampled=sampled,
+                                 clients=client_stats,
+                                 wall_time=time.monotonic() - start)
+            state.history.append(record)
+            state.round = r
+            if on_round is not None:
+                on_round(state, record)
     return state
 
 
@@ -300,9 +479,10 @@ def finalize(cfg, state: ServerState) -> ServerState:
     """
     for s in state.shards:
         s.model.load_shared(state.theta)
-        if cfg.method == "fedavg-ft":
-            client_update(s, state.theta, cfg, state.round + 1,
-                          epochs=cfg.ft_epochs)
+    if cfg.method == "fedavg-ft":
+        with ClientExecutor(cfg, state.shards, len(state.shards)) as executor:
+            executor.run([s.id for s in state.shards], state.theta,
+                         state.round + 1, epochs=cfg.ft_epochs)
     return state
 
 

@@ -55,7 +55,9 @@ def test_tracer_install_then_uninstall_restores_every_name():
             assert after[ns].get(name) is value, f"{ns}.{name} not restored"
 
 
-def test_traced_run_reaches_the_traced_names():
+def test_traced_run_reaches_the_traced_names(monkeypatch):
+    # the tracer sees only this process: run every client here
+    monkeypatch.setattr(federation, "available_cores", lambda: 1)
     cfg = ExperimentConfig(task="classify", method="feddva", K=2, m=2,
                            rounds=2, epochs_per_phase=1, batch_size=16,
                            toy_per_class=12, toy_classes=2, toy_height=8,

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import feddva.gaussians
+from feddva import blas
 from feddva.checkpoint import load_checkpoint
 from feddva.cli import cmd_eval, cmd_train, main
 from feddva.config import ConfigError, ExperimentConfig, load_config
-from feddva.federation import run_experiment
+from feddva.federation import run_experiment, worker_count
 from feddva.metrics import accuracy_per_client, export_accuracy_csv, parse_pgm
 from feddva.selftest import run_selftest
 
@@ -98,6 +99,22 @@ def test_elbo_samples_only_for_feddva():
             ExperimentConfig(method=method, task=task, n_elbo_samples=2)
 
 
+def test_latent_options_rejected_for_pixel_classifier():
+    # fedavg's pixel classifier has no z/c latents: a mask or a frozen
+    # encoder would be ignored without a word
+    for method in ("fedavg", "fedavg-ft"):
+        assert ExperimentConfig(task="classify", method=method)
+        with pytest.raises(ConfigError, match="'classifier_latents'.*" + method):
+            ExperimentConfig(task="classify", method=method,
+                             classifier_latents="z")
+        with pytest.raises(ConfigError, match="'classifier_frozen'.*" + method):
+            ExperimentConfig(task="classify", method=method,
+                             classifier_frozen=True)
+    cfg = ExperimentConfig(task="classify", classifier_latents="c",
+                           classifier_frozen=True)
+    assert cfg.classifier_latents == "c" and cfg.classifier_frozen
+
+
 def test_latent_dims_and_xi_named():
     assert ExperimentConfig(d_z=4, d_c=4).xi_value() == 32.0
     with pytest.raises(ConfigError, match="'d_z'"):
@@ -149,10 +166,13 @@ def test_train_writes_history_and_manifest(tmp_path):
 
 
 def _history_without_walltime(path):
+    """History rows without their timing fields (wall_time, update_s)."""
     rows = []
     for line in Path(path).read_text().strip().splitlines():
         d = json.loads(line)
         d.pop("wall_time")
+        for stats in d["clients"].values():
+            stats.pop("update_s")
         rows.append(d)
     return rows
 
@@ -225,6 +245,37 @@ def test_resume_warns_on_changed_numeric_stack(tmp_path, capsys):
     assert changed[0].startswith("numpy '0.0.1' -> ")
     # the manifest now describes the resuming process again
     assert json.loads(path.read_text())["numpy"] == np.__version__
+
+
+def test_manifest_records_workers_and_train_threads(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cfg.rounds = 2
+    cmd_train(cfg)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["workers"] == worker_count(cfg.m)
+    assert manifest["train_blas_threads"] == blas.train_threads()
+    if blas.can_pin():
+        assert manifest["train_blas_threads"] == 1
+
+    # the bits do not depend on the worker count: no warning
+    manifest["workers"] = 64
+    path.write_text(json.dumps(manifest))
+    cfg.rounds = 3
+    cmd_train(cfg, resume=True)
+    assert "warning" not in capsys.readouterr().err
+    manifest = json.loads(path.read_text())
+    assert manifest["workers"] == worker_count(cfg.m)
+
+    # they do depend on the training thread count
+    manifest["train_blas_threads"] = 64
+    path.write_text(json.dumps(manifest))
+    cmd_train(cfg, resume=True)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].split("not bitwise: ", 1)[1].startswith(
+        "train_blas_threads 64 -> ")
 
 
 def _resume_matches_full_run(tmp_path, kill) -> None:
