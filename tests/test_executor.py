@@ -4,7 +4,6 @@ The worker count is set by patching federation.available_cores, the one
 function that reads the CPU affinity; no test starts more than 2 processes.
 """
 
-import json
 import multiprocessing
 import os
 from pathlib import Path
@@ -16,6 +15,7 @@ from feddva.checkpoint import load_checkpoint
 from feddva.cli import cmd_eval, cmd_train
 from feddva.config import ExperimentConfig
 from feddva.federation import ClientError, init_run, run_rounds, split_clients
+from test_config_cli import _history_without_walltime
 
 needs_pin = pytest.mark.skipif(
     not blas.can_pin(),
@@ -46,17 +46,6 @@ def files_under(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def history_without_timings(path: Path) -> list[dict]:
-    rows = []
-    for line in path.read_text().splitlines():
-        row = json.loads(line)
-        row.pop("wall_time")
-        for stats in row["clients"].values():
-            assert stats.pop("update_s") >= 0
-        rows.append(row)
-    return rows
-
-
 @needs_pin
 @pytest.mark.parametrize("name", RUNS)
 def test_worker_count_leaves_every_output_bitwise(tmp_path, monkeypatch,
@@ -73,7 +62,7 @@ def test_worker_count_leaves_every_output_bitwise(tmp_path, monkeypatch,
             "theta": load_checkpoint(last / "shared.ckpt")[2].tobytes(),
             "checkpoint": files_under(last),
             "eval": files_under(out / "eval"),
-            "history": history_without_timings(out / "history.jsonl"),
+            "history": _history_without_walltime(out / "history.jsonl"),
         }
     assert outputs[1]["eval"]  # eval wrote its artifacts
     for part in outputs[1]:
