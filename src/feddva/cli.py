@@ -126,8 +126,9 @@ def latest_checkpoint(out_dir: Path, n_clients: int) -> Path | None:
 
 
 # manifest fields that a bitwise continuation needs unchanged; workers is
-# not one: the bits do not depend on it
-NUMERIC_STACK = ("numpy", "blas", "blas_threads", "train_blas_threads")
+# not one, and neither is the inherited blas_threads where training pins
+# its own count (train_blas_threads is None only where it cannot)
+NUMERIC_STACK = ("numpy", "blas", "train_blas_threads")
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: Path,
@@ -136,7 +137,8 @@ def write_manifest(cfg: ExperimentConfig, out_dir: Path,
     reproducible only under the same numpy, BLAS and BLAS thread count.
     train_blas_threads is the count client updates ran at (1 where it can
     be pinned), blas_threads the inherited one that eval runs at; workers
-    is the number of processes each round's clients ran on.
+    is the number of processes each round's clients ran on. The bits of
+    training depend on blas_threads only where the count cannot be pinned.
 
     On resume, one stderr line names each numeric-stack field that differs
     from the manifest the run was started with.
@@ -151,8 +153,11 @@ def write_manifest(cfg: ExperimentConfig, out_dir: Path,
     path = out_dir / "manifest.json"
     if resume and path.is_file():
         old = json.loads(path.read_text())
+        stack = NUMERIC_STACK
+        if manifest["train_blas_threads"] is None:
+            stack += ("blas_threads",)
         changed = [f"{k} {old.get(k)!r} -> {manifest[k]!r}"
-                   for k in NUMERIC_STACK if old.get(k) != manifest[k]]
+                   for k in stack if old.get(k) != manifest[k]]
         if changed:
             print("warning: --resume: numeric stack differs from "
                   "manifest.json, so the continuation is not bitwise: "

@@ -195,11 +195,13 @@ def mark_mask(spec: MarkSpec, height: int, width: int) -> np.ndarray:
 
 
 def apply_mark(image: np.ndarray, spec: MarkSpec) -> np.ndarray:
-    """Overlay the mark by max composition, clamped to [0, 1]."""
-    mask = mark_mask(spec, *image.shape)
-    out = image.copy()
-    np.maximum(out, np.where(mask, min(spec.intensity, 1.0), 0.0), out=out)
-    return out
+    """Overlay the mark by max composition, clamped to [0, 1].
+
+    image is one [H, W] image or an [n, H, W] stack; one mask of the last
+    two dimensions marks every image of a stack.
+    """
+    mask = mark_mask(spec, *image.shape[-2:])
+    return np.maximum(image, np.where(mask, min(spec.intensity, 1.0), 0.0))
 
 
 def default_marks(height: int, width: int | None = None) -> list[MarkSpec]:
@@ -235,7 +237,7 @@ def _finalize_shards(ds, assignments, marks, seed, holdout_frac, scheme,
         labels = ds.labels[idx]
         mark = marks[k] if marks else None
         if mark is not None:
-            images = np.stack([apply_mark(img, mark) for img in images])
+            images = apply_mark(images, mark)
         rng = make_rng(seed, "holdout", k)
         tr_i, tr_l, ho_i, ho_l = _split_holdout(images, labels, holdout_frac, rng)
         shards.append(ClientShard(id=k, images=tr_i, labels=tr_l,
@@ -363,20 +365,22 @@ def make_toy_digits(n_per_class: int, n_classes: int, height: int, width: int,
         raise ValueError(f"toy generator supports 1..{len(_GLYPHS)} classes, "
                          f"got {n_classes}")
     rng = np.random.default_rng(seed)
-    images = np.zeros((n_per_class * n_classes, height, width))
-    labels = np.zeros(n_per_class * n_classes, dtype=np.int64)
+    images = np.empty((n_per_class * n_classes, height, width))
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     at = 0
     for cls in range(n_classes):
         template = np.zeros((height, width))
         for stroke in _GLYPHS[cls]:
             _draw_stroke(template, stroke)
+        # the nine jittered glyphs, indexed by [dy + 1, dx + 1]
+        shifted = [[np.roll(np.roll(template, dy, axis=0), dx, axis=1)
+                    for dx in (-1, 0, 1)] for dy in (-1, 0, 1)]
         for _ in range(n_per_class):
             dy, dx = rng.integers(-1, 2, size=2)
-            img = np.roll(np.roll(template, dy, axis=0), dx, axis=1)
-            img = img * rng.uniform(0.85, 1.0)
-            noise = rng.uniform(0.0, 0.05, size=img.shape)
-            images[at] = np.clip(np.maximum(img, noise), 0.0, 1.0)
-            labels[at] = cls
+            # in [0, 1] as drawn: a 0/1 glyph scaled below 1, noise below 0.05
+            img = shifted[dy + 1][dx + 1] * rng.uniform(0.85, 1.0)
+            np.maximum(img, rng.uniform(0.0, 0.05, size=img.shape),
+                       out=images[at])
             at += 1
     perm = rng.permutation(at)
     return Dataset(images=images[perm], labels=labels[perm],

@@ -3,8 +3,8 @@
 Each check re-derives its expected values independently (finite
 differences, Monte Carlo, hand arithmetic) and prints one pass/fail line.
 Budget is well under a minute. KL checks resolve the functions through
-the gaussians module at call time, so a corrupted formula is caught even
-if patched in after import.
+the gaussians and metrics modules at call time, so a corrupted formula is
+caught even if patched in after import.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from . import gaussians
+from . import gaussians, metrics
 from .autodiff import Tensor, backward, zero_grads
 from .config import ExperimentConfig
 from .federation import aggregate
@@ -145,6 +145,33 @@ def check_kl_closed_forms():
     return True, f"{n_draws} random draws vs {n_mc}-sample MC"
 
 
+def check_mixture_kl_estimator():
+    rng = np.random.default_rng(6)
+    n, d, n_mc = 5, 3, 4000
+    spread = rng.normal(size=(n, d))
+    sigmas = np.exp(rng.uniform(-3, 1, (n, d)))
+    worst = 0.0
+    for offset in (0.0, 1e3):
+        mus = spread + offset
+        got = metrics.mixture_kl_to_standard_mc(mus, sigmas, n_mc,
+                                                np.random.default_rng(7))
+        # the same draws, each component's log-density summed directly; the
+        # -d/2 log 2pi of both densities cancels
+        draw = np.random.default_rng(7)
+        picks = draw.integers(0, n, size=n_mc)
+        x = mus[picks] + sigmas[picks] * draw.standard_normal((n_mc, d))
+        comp = np.stack([-0.5 * np.sum(((x - mus[k]) / sigmas[k]) ** 2, axis=1)
+                         - np.sum(np.log(sigmas[k])) for k in range(n)])
+        top = comp.max(axis=0)
+        log_mix = top + np.log(np.mean(np.exp(comp - top), axis=0))
+        want = float(np.mean(log_mix + 0.5 * np.sum(x * x, axis=1)))
+        worst = max(worst, abs(got - want) / max(abs(want), 1.0))
+        if not worst <= 1e-9:
+            return False, (f"estimate {got!r} vs per-component {want!r} at "
+                           f"offset {offset:g}")
+    return True, f"offsets 0 and 1e3, max rel err {worst:.1e}"
+
+
 def check_hinge_cases():
     rng = np.random.default_rng(4)
     from .losses import hinge_max
@@ -207,6 +234,7 @@ CHECKS = [
     ("op-gradients-vs-finite-differences", check_op_gradients),
     ("objective-gradient-vs-finite-differences", check_loss_gradient),
     ("kl-closed-forms-vs-monte-carlo", check_kl_closed_forms),
+    ("mixture-kl-estimator", check_mixture_kl_estimator),
     ("hinge-branch-selection", check_hinge_cases),
     ("aggregation-algebra", check_aggregation_algebra),
     ("reparameterization-identity", check_reparameterization),

@@ -3,7 +3,8 @@
 Most of what is here does not touch the reverse-mode machinery under test:
 gradients come from central finite differences over repeated forward
 evaluations, KL values from Monte Carlo sampling of the defining
-integrals, and raster checks from per-pixel membership loops.
+integrals, raster checks from per-pixel membership loops, and the data
+path from per-sample generation and per-image marking.
 
 Two oracles are graph forms built from generic autodiff ops, so their
 backward is the engine's own chain rule rather than a hand-written VJP:
@@ -206,6 +207,52 @@ def ellipse_pixels(height, width, ry, rx, thickness):
             if abs(r - 1.0) <= band:
                 marked[i, j] = True
     return marked
+
+
+# ------------------------------------------------------------- data path
+
+
+def toy_digits_per_sample(n_per_class, n_classes, height, width, seed):
+    """make_toy_digits with both rolls and the clip redone per sample, in
+    the generator's draw order: images [n, H, W] and labels [n]."""
+    from feddva.data import _GLYPHS, _draw_stroke
+
+    rng = np.random.default_rng(seed)
+    images = np.zeros((n_per_class * n_classes, height, width))
+    labels = np.zeros(n_per_class * n_classes, dtype=np.int64)
+    at = 0
+    for cls in range(n_classes):
+        template = np.zeros((height, width))
+        for stroke in _GLYPHS[cls]:
+            _draw_stroke(template, stroke)
+        for _ in range(n_per_class):
+            dy, dx = rng.integers(-1, 2, size=2)
+            img = np.roll(np.roll(template, dy, axis=0), dx, axis=1)
+            img = img * rng.uniform(0.85, 1.0)
+            noise = rng.uniform(0.0, 0.05, size=img.shape)
+            images[at] = np.clip(np.maximum(img, noise), 0.0, 1.0)
+            labels[at] = cls
+            at += 1
+    perm = rng.permutation(at)
+    return images[perm], labels[perm]
+
+
+def shards_per_image(ds, assignments, marks, seed, holdout_frac):
+    """Client shards as (images, labels, holdout images, holdout labels),
+    marked one image at a time, then split with the partitioners' holdout
+    stream."""
+    from feddva.data import _split_holdout, apply_mark
+    from feddva.seeding import make_rng
+
+    out = []
+    for k in sorted(assignments):
+        idx = np.asarray(assignments[k], dtype=int)
+        images = ds.images[idx]
+        if marks:
+            images = np.stack([apply_mark(img, marks[k]) for img in images])
+        out.append(_split_holdout(images, ds.labels[idx], holdout_frac,
+                                  make_rng(seed, "holdout", k)))
+    return out
 
 
 def dataset_mean_bce(images):

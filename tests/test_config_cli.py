@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import feddva.gaussians
+import feddva.metrics
 from feddva import blas
 from feddva.checkpoint import load_checkpoint
 from feddva.cli import cmd_eval, cmd_train, main
@@ -241,10 +242,38 @@ def test_resume_warns_on_changed_numeric_stack(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     changed = err[0].split("not bitwise: ", 1)[1].split("; ")
-    assert [c.split()[0] for c in changed] == ["numpy", "blas_threads"]
+    assert [c.split()[0] for c in changed] == ["numpy"]
     assert changed[0].startswith("numpy '0.0.1' -> ")
     # the manifest now describes the resuming process again
     assert json.loads(path.read_text())["numpy"] == np.__version__
+
+
+def test_resume_ignores_changed_inherited_blas_threads(tmp_path, capsys,
+                                                      monkeypatch):
+    # training pins its own count, so the inherited one leaves the bits alone
+    monkeypatch.setattr(blas, "train_threads", lambda: 1)
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cfg.rounds = 2
+    cmd_train(cfg)
+    path = out / "manifest.json"
+
+    def resume_with_blas_threads(threads):
+        manifest = json.loads(path.read_text())
+        manifest["blas_threads"] = {"OPENBLAS_NUM_THREADS": threads,
+                                    "OMP_NUM_THREADS": None}
+        manifest["train_blas_threads"] = blas.train_threads()
+        path.write_text(json.dumps(manifest))
+        cmd_train(cfg, resume=True)
+        return capsys.readouterr().err.splitlines()
+
+    assert resume_with_blas_threads("64") == []
+    # where it cannot pin, training runs at the inherited count
+    monkeypatch.setattr(blas, "train_threads", lambda: None)
+    err = resume_with_blas_threads("63")
+    assert len(err) == 1
+    assert err[0].split("not bitwise: ", 1)[1].startswith(
+        "blas_threads {'OPENBLAS_NUM_THREADS': '63'")
 
 
 def test_manifest_records_workers_and_train_threads(tmp_path, capsys):
@@ -462,3 +491,17 @@ def test_selftest_catches_mutated_kl(monkeypatch):
     lines = []
     assert run_selftest(out=lines.append) == 1
     assert any(l.startswith("[FAIL] kl-closed-forms") for l in lines)
+
+
+def test_selftest_catches_mutated_mixture_kl_estimator(monkeypatch):
+    exact = feddva.metrics.mixture_kl_to_standard_mc
+
+    def off_by_a_millionth(mus, sigmas, n_samples, rng):
+        return exact(mus, sigmas, n_samples, rng) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(feddva.metrics, "mixture_kl_to_standard_mc",
+                        off_by_a_millionth)
+    lines = []
+    assert run_selftest(out=lines.append) == 1
+    assert [l.split(":")[0] for l in lines if l.startswith("[FAIL]")] == [
+        "[FAIL] mixture-kl-estimator"]

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from feddva.data import (ClientShard, Dataset, IdxFormatError, MarkSpec,
-                         PartitionPlan, apply_mark, default_marks,
+from feddva.data import (MARK_KINDS, ClientShard, Dataset, IdxFormatError,
+                         MarkSpec, PartitionPlan, apply_mark, default_marks,
                          load_idx_dataset, make_toy_digits, mark_mask,
                          parse_idx, partition_label_skew,
                          partition_uniform_marked, write_idx)
-from oracles import dataset_mean_bce, ellipse_pixels, sinusoid_pixels
+from oracles import (dataset_mean_bce, ellipse_pixels, shards_per_image,
+                     sinusoid_pixels, toy_digits_per_sample)
 
 
 def toy(seed=0, n_per_class=20, n_classes=4, h=16, w=16):
@@ -112,6 +113,16 @@ def test_mark_amplitude_validation():
     with pytest.raises(ValueError, match="amplitude"):
         apply_mark(np.zeros((8, 8)), MarkSpec("horizontal-sinusoid",
                                               amplitude=20.0))
+
+
+@pytest.mark.parametrize("kind", MARK_KINDS)
+def test_mark_on_stack_equals_per_image(kind):
+    stack = np.random.default_rng(5).uniform(0, 1, (6, 12, 10))
+    spec = MarkSpec(kind, amplitude=2.5, intensity=0.9)
+    per_image = np.stack([apply_mark(img, spec) for img in stack])
+    marked = apply_mark(stack, spec)
+    assert marked.tobytes() == per_image.tobytes()
+    assert not np.shares_memory(marked, stack)
 
 
 def test_mark_output_stays_in_range():
@@ -241,6 +252,38 @@ def test_toy_digits_deterministic():
     a, b = toy(seed=11), toy(seed=11)
     assert a.images.tobytes() == b.images.tobytes()
     assert np.array_equal(a.labels, b.labels)
+
+
+SEEDS_AND_SIZES = [(seed, h, w) for seed in (0, 1, 7) for h, w in
+                   ((16, 16), (12, 10))]
+
+
+def same_bytes(*pairs):
+    return all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+@pytest.mark.parametrize("seed,h,w", SEEDS_AND_SIZES)
+def test_toy_digits_match_per_sample_oracle(seed, h, w):
+    ds = make_toy_digits(9, 8, h, w, seed)
+    images, labels = toy_digits_per_sample(9, 8, h, w, seed)
+    assert same_bytes((ds.images, images), (ds.labels, labels))
+
+
+@pytest.mark.parametrize("seed,h,w", SEEDS_AND_SIZES)
+def test_partitions_match_per_image_oracle(seed, h, w):
+    ds = make_toy_digits(12, 4, h, w, seed)
+    marks = [default_marks(h, w)[k % 4] for k in range(5)]
+    assert {m.kind for m in marks} == set(MARK_KINDS)
+    for shards, plan, shard_marks in (
+            (*partition_uniform_marked(ds, 5, seed, holdout_frac=0.25), marks),
+            (*partition_label_skew(ds, 3, 0.5, seed), None)):
+        expect = shards_per_image(ds, plan.assignments, shard_marks, seed,
+                                  0.25 if shard_marks else 0.2)
+        assert len(shards) == len(expect)
+        for s, (tr_i, tr_l, ho_i, ho_l) in zip(shards, expect):
+            assert same_bytes((s.images, tr_i), (s.labels, tr_l),
+                              (s.holdout_images, ho_i),
+                              (s.holdout_labels, ho_l))
 
 
 def test_toy_digits_range_and_shapes():

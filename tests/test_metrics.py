@@ -122,6 +122,28 @@ def test_mixture_kl_estimator_consistency():
     assert abs(mine - ref) < 4 * se + 0.02
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, -1e3])
+def test_mixture_kl_estimator_matches_per_component_oracle(offset):
+    # same generator seed, so both draw the same picks and normals; the
+    # estimator's GEMM must agree with the oracle's per-component sums, for
+    # sample counts below, at and across its 1024-sample blocks
+    cases = np.random.default_rng(int(offset) % 7)
+    shapes = [(1, 1), (128, 8), (1, 8), (128, 1)] + [
+        (int(cases.integers(1, 129)), int(cases.integers(1, 9)))
+        for _ in range(16)]
+    worst = 0.0
+    for i, (n, d) in enumerate(shapes):
+        n_samples = (2000, 2, 1024, 3073)[i % 4]
+        mus = offset + cases.normal(size=(n, d))
+        sigmas = np.exp(cases.uniform(-12.0, 6.0, (n, d)) / 2.0)
+        mine = mixture_kl_to_standard_mc(mus, sigmas, n_samples,
+                                         np.random.default_rng(i))
+        ref, _ = mc_kl_mixture_to_standard(mus, sigmas, n_samples,
+                                           np.random.default_rng(i))
+        worst = max(worst, abs(mine - ref) / max(abs(ref), 1.0))
+    assert worst <= 1e-9
+
+
 def test_separation_invariant_under_rotation_translation():
     rng = np.random.default_rng(7)
     clients = [rng.normal(loc=(3.0, 1.0), size=(30, 2)),
