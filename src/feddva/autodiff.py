@@ -7,6 +7,11 @@ reverse, accumulating gradients into requires-grad leaves. Gradients are
 never overwritten: repeated backward calls add up until the caller
 clears them (``sgd_step`` clears what it steps).
 
+The VJP contract: a node's closure ``back(g)`` maps the gradient of its
+output to a tuple with one gradient per entry of ``node.parents``, or None
+for a parent that takes none (it may skip one that does not require grad).
+``backward`` alone accumulates them, in parent order and never in place.
+
 All arithmetic is float64 and single-threaded numpy, so identical seeds
 give bitwise-identical forwards and gradients on one platform.
 """
@@ -46,11 +51,11 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
         self.parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray, dict[int, np.ndarray]], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple] | None = None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, op: str, parents: tuple["Tensor", ...],
-                 backward: Callable[[np.ndarray, dict[int, np.ndarray]], None]) -> "Tensor":
+                 backward: Callable[[np.ndarray], tuple]) -> "Tensor":
         out = cls(data)
         out.op = op
         if any(p.requires_grad for p in parents):
@@ -105,16 +110,6 @@ class Tensor:
         return matmul(self, other)
 
 
-def _sink(grads: dict[int, np.ndarray], parent: Tensor, value: np.ndarray) -> None:
-    if not parent.requires_grad:
-        return
-    key = id(parent)
-    if key in grads:
-        grads[key] = grads[key] + value
-    else:
-        grads[key] = value
-
-
 def topo_order(root: Tensor) -> list[Tensor]:
     """Nodes reachable from ``root``, every node after all of its parents."""
     order: list[Tensor] = []
@@ -155,8 +150,15 @@ def backward(loss: Tensor) -> None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
             continue
-        assert node._backward is not None
-        node._backward(g, grads)
+        # enumerate and an index cost less per node than zip on CPython 3.11
+        values = node._backward(g)
+        for i, parent in enumerate(node.parents):
+            value = values[i]
+            if value is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            # never in place: one VJP may hand the same array to two parents
+            grads[key] = grads[key] + value if key in grads else value
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:
@@ -181,9 +183,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
-    def back(g, grads):
-        _sink(grads, a, g)
-        _sink(grads, b, g)
+    def back(g):
+        return g, g
 
     return Tensor._from_op(a.data + b.data, "add", (a, b), back)
 
@@ -192,9 +193,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
 
-    def back(g, grads):
-        _sink(grads, a, g)
-        _sink(grads, b, -g)
+    def back(g):
+        return g, -g
 
     return Tensor._from_op(a.data - b.data, "sub", (a, b), back)
 
@@ -203,11 +203,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul-elementwise: shapes {a.shape} and {b.shape} differ")
 
-    def back(g, grads):
-        if a.requires_grad:
-            _sink(grads, a, g * b.data)
-        if b.requires_grad:
-            _sink(grads, b, g * a.data)
+    def back(g):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return Tensor._from_op(a.data * b.data, "mul-elementwise", (a, b), back)
 
@@ -216,11 +214,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} do not conform")
 
-    def back(g, grads):
-        if a.requires_grad:
-            _sink(grads, a, g @ b.data.T)
-        if b.requires_grad:
-            _sink(grads, b, a.data.T @ g)
+    def back(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return Tensor._from_op(a.data @ b.data, "matmul", (a, b), back)
 
@@ -229,22 +225,22 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected 2-d tensor, got shape {a.shape}")
 
-    def back(g, grads):
-        _sink(grads, a, g.T)
+    def back(g):
+        return (g.T,)
 
     return Tensor._from_op(a.data.T.copy(), "transpose", (a,), back)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    def back(g, grads):
-        _sink(grads, a, g * s)
+    def back(g):
+        return (g * s,)
 
     return Tensor._from_op(a.data * s, "scale", (a,), back)
 
 
 def shift(a: Tensor, s: float) -> Tensor:
-    def back(g, grads):
-        _sink(grads, a, g)
+    def back(g):
+        return (g,)
 
     return Tensor._from_op(a.data + s, "shift", (a,), back)
 
@@ -257,8 +253,8 @@ def relu(a: Tensor) -> Tensor:
     # max(x, 0) maps -0.0 to +0.0 like a select on x > 0, and keeps NaN
     y = np.maximum(a.data, 0.0)
 
-    def back(g, grads):
-        _sink(grads, a, g * (y > 0))
+    def back(g):
+        return (g * (y > 0),)
 
     return Tensor._from_op(y, "relu", (a,), back)
 
@@ -266,8 +262,8 @@ def relu(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
-    def back(g, grads):
-        _sink(grads, a, g * (1.0 - y * y))
+    def back(g):
+        return (g * (1.0 - y * y),)
 
     return Tensor._from_op(y, "tanh", (a,), back)
 
@@ -276,8 +272,8 @@ def sigmoid(a: Tensor) -> Tensor:
     # the tanh form needs no branch on the sign and cannot overflow
     y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
 
-    def back(g, grads):
-        _sink(grads, a, g * y * (1.0 - y))
+    def back(g):
+        return (g * y * (1.0 - y),)
 
     return Tensor._from_op(y, "sigmoid", (a,), back)
 
@@ -285,8 +281,8 @@ def sigmoid(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
 
-    def back(g, grads):
-        _sink(grads, a, g * y)
+    def back(g):
+        return (g * y,)
 
     return Tensor._from_op(y, "exp", (a,), back)
 
@@ -296,22 +292,22 @@ def log(a: Tensor) -> Tensor:
         raise DomainError(f"log: input has non-positive entries (min={a.data.min()!r}); "
                           "callers must pre-shift")
 
-    def back(g, grads):
-        _sink(grads, a, g / a.data)
+    def back(g):
+        return (g / a.data,)
 
     return Tensor._from_op(np.log(a.data), "log", (a,), back)
 
 
 def square(a: Tensor) -> Tensor:
-    def back(g, grads):
-        _sink(grads, a, g * 2.0 * a.data)
+    def back(g):
+        return (g * 2.0 * a.data,)
 
     return Tensor._from_op(a.data * a.data, "square", (a,), back)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def back(g, grads):
-        _sink(grads, a, np.full_like(a.data, float(g)))
+    def back(g):
+        return (np.full_like(a.data, float(g)),)
 
     return Tensor._from_op(np.asarray(a.data.sum()), "sum", (a,), back)
 
@@ -319,8 +315,8 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
-    def back(g, grads):
-        _sink(grads, a, np.full_like(a.data, float(g) / n))
+    def back(g):
+        return (np.full_like(a.data, float(g) / n),)
 
     return Tensor._from_op(np.asarray(a.data.mean()), "mean", (a,), back)
 
@@ -331,9 +327,8 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
                          "must be 2-d with equal row counts")
     split = a.shape[1]
 
-    def back(g, grads):
-        _sink(grads, a, g[:, :split])
-        _sink(grads, b, g[:, split:])
+    def back(g):
+        return g[:, :split], g[:, split:]
 
     return Tensor._from_op(np.concatenate([a.data, b.data], axis=1),
                            "concat-last-axis", (a, b), back)
@@ -348,10 +343,9 @@ def add_rowvec(x: Tensor, row: Tensor) -> Tensor:
         raise ShapeError(f"broadcast-add-row: row shape {row.shape} does not match "
                          f"columns of {x.shape}")
 
-    def back(g, grads):
-        _sink(grads, x, g)
-        if row.requires_grad:
-            _sink(grads, row, g.sum(axis=0).reshape(row.shape))
+    def back(g):
+        return (g,
+                g.sum(axis=0).reshape(row.shape) if row.requires_grad else None)
 
     return Tensor._from_op(x.data + r[None, :], "broadcast-add-row", (x, row), back)
 
@@ -368,13 +362,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias shape {b.shape} does not match "
                          f"columns of {w.shape}")
 
-    def back(g, grads):
-        if x.requires_grad:
-            _sink(grads, x, g @ w.data.T)
-        if w.requires_grad:
-            _sink(grads, w, x.data.T @ g)
-        if b.requires_grad:
-            _sink(grads, b, g.sum(axis=0).reshape(b.shape))
+    def back(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0).reshape(b.shape) if b.requires_grad else None)
 
     return Tensor._from_op(x.data @ w.data + r[None, :], "linear", (x, w, b), back)
 
@@ -395,12 +386,14 @@ def bce_logits(logits: Tensor, x: Tensor) -> Tensor:
     # softplus(l) = max(l, 0) + log1p(exp(-|l|)): no overflow, no cancellation
     softplus = np.maximum(l, 0.0) + np.log1p(np.exp(-np.abs(l)))
 
-    def back(g, grads):
+    def back(g):
+        g_logits = g_x = None
         if logits.requires_grad:
             sig = 0.5 * (1.0 + np.tanh(0.5 * l))
-            _sink(grads, logits, (float(g) / n) * (sig - x.data))
+            g_logits = (float(g) / n) * (sig - x.data)
         if x.requires_grad:
-            _sink(grads, x, (-float(g) / n) * l)
+            g_x = (-float(g) / n) * l
+        return g_logits, g_x
 
     return Tensor._from_op(np.asarray((softplus - x.data * l).sum() / n),
                            "bce-logits", (logits, x), back)

@@ -74,6 +74,6 @@ def set_threads(n: int) -> None:
 
 
 def train_threads() -> int | None:
-    """The thread count client updates run at: 1 where it can be pinned;
-    otherwise the inherited count, None where that cannot be read."""
-    return 1 if can_pin() else threads()
+    """The thread count client updates run at: 1 where it can be pinned,
+    None where it cannot (the count is then neither set nor readable)."""
+    return 1 if can_pin() else None

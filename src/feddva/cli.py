@@ -102,14 +102,18 @@ def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
         raise ConfigError(f"checkpoint directory {str(ckpt_dir)!r} is not "
                           "named round_NNNNN")
     state = init_run(cfg)
-    kind, arch, theta = load_checkpoint(ckpt_dir / "shared.ckpt")
-    if arch != state.arch:
-        raise ConfigError(f"checkpoint architecture {arch} does not match "
-                          f"config-derived {state.arch}")
-    state.theta = theta
+
+    def load(name: str, kind: str) -> np.ndarray:
+        got_kind, arch, flat = load_checkpoint(ckpt_dir / name)
+        if (got_kind, arch) != (kind, state.arch):
+            raise ConfigError(f"checkpoint {str(ckpt_dir / name)!r} holds "
+                              f"kind {got_kind!r} of architecture {arch}, "
+                              f"expected {kind!r} of {state.arch}")
+        return flat
+
+    state.theta = load("shared.ckpt", "shared")
     for s in state.shards:
-        _, _, local = load_checkpoint(ckpt_dir / f"client_{s.id:03d}.ckpt")
-        s.model.load_local(local)
+        s.model.load_local(load(f"client_{s.id:03d}.ckpt", "local"))
     state.round = round_idx
     return state
 
@@ -135,10 +139,10 @@ def write_manifest(cfg: ExperimentConfig, out_dir: Path,
                    resume: bool = False) -> None:
     """Config and seed, plus the numeric stack: results are bitwise
     reproducible only under the same numpy, BLAS and BLAS thread count.
-    train_blas_threads is the count client updates ran at (1 where it can
-    be pinned), blas_threads the inherited one that eval runs at; workers
-    is the number of processes each round's clients ran on. The bits of
-    training depend on blas_threads only where the count cannot be pinned.
+    train_blas_threads is the count client updates ran at: 1 where it can
+    be pinned, None where it cannot, and then training runs at
+    blas_threads, the inherited count that eval always runs at. workers is
+    the number of processes each round's clients ran on.
 
     On resume, one stderr line names each numeric-stack field that differs
     from the manifest the run was started with.

@@ -100,6 +100,9 @@ class ExperimentConfig:
         need(self.eval_every >= 1, "eval_every", "must be >= 1")
         need(self.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
         need(self.traversal_steps >= 1, "traversal_steps", "must be >= 1")
+        for key in ("hidden_dims", "head_hidden"):
+            need(all(w >= 1 for w in getattr(self, key)), key,
+                 "every layer width must be >= 1")
         if self.method in ("fedavg", "fedavg-ft"):
             need(self.task == "classify", "method",
                  f"{self.method} requires task = classify")

@@ -42,6 +42,7 @@ from .data import (ClientShard, Dataset, load_idx_dataset, make_toy_digits,
                    partition_label_skew, partition_uniform_marked)
 from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
                      loss_feddva, loss_vanilla_vae)
+from .metrics import accuracy
 from .model import MODEL_CLASS, ArchitectureConfig
 from .seeding import derive_seed, make_rng
 
@@ -211,14 +212,6 @@ def _summarize(records: list[LossBreakdown], xi: float) -> dict:
     summary["monitor_mean"] = float(np.mean(monitors))
     summary["monitor_frac_ge_xi"] = float(np.mean([m >= xi for m in monitors]))
     return summary
-
-
-def _eval_accuracy(model, shard: ClientShard, latents: str) -> float | None:
-    if shard.holdout_images.shape[0] == 0:
-        return None
-    logits = model.predict_logits(Tensor(shard.flat_holdout()), latents=latents)
-    pred = np.argmax(logits.data, axis=1)
-    return float(np.mean(pred == shard.holdout_labels))
 
 
 # ------------------------------------------------------------- executor
@@ -442,7 +435,6 @@ def init_run(cfg) -> ServerState:
 def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
     """Advance the federation from state.round to cfg.rounds."""
     weights = {s.id: s.weight for s in state.shards}
-    eval_latents = cfg.classifier_latents
     with ClientExecutor(cfg, state.shards, cfg.m) as executor:
         while state.round < cfg.rounds:
             r = state.round + 1
@@ -456,10 +448,12 @@ def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
             if cfg.task == "classify" and (r % cfg.eval_every == 0
                                            or r == cfg.rounds):
                 for k in sampled:
-                    model = state.shards[k].model
-                    model.load_shared(state.theta)
-                    acc = _eval_accuracy(model, state.shards[k], eval_latents)
-                    client_stats[k]["accuracy"] = acc
+                    shard = state.shards[k]
+                    shard.model.load_shared(state.theta)
+                    client_stats[k]["accuracy"] = (
+                        accuracy(shard.model, shard.flat_holdout(),
+                                 shard.holdout_labels, cfg.classifier_latents)
+                        if shard.holdout_images.shape[0] else None)
             record = RoundRecord(round=r, sampled=sampled,
                                  clients=client_stats,
                                  wall_time=time.monotonic() - start)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, _sink
+from .autodiff import ShapeError, Tensor
 
 
 @dataclass
@@ -70,10 +70,8 @@ def reparameterize(q: DiagGaussian, rng: np.random.Generator) -> Tensor:
     eps = rng.standard_normal(mu.shape)
     sigma = np.exp(lv.data * 0.5)
 
-    def back(g, grads):
-        _sink(grads, mu, g)
-        if lv.requires_grad:
-            _sink(grads, lv, g * eps * sigma * 0.5)
+    def back(g):
+        return g, (g * eps * sigma * 0.5 if lv.requires_grad else None)
 
     return Tensor._from_op(mu.data + sigma * eps, "reparameterize", (mu, lv), back)
 
@@ -84,12 +82,10 @@ def kl_to_standard(q: DiagGaussian) -> Tensor:
     scale = 0.5 / q.batch
     var = np.exp(lv.data)
 
-    def back(g, grads):
+    def back(g):
         gs = float(g) * scale
-        if mu.requires_grad:
-            _sink(grads, mu, gs * 2.0 * mu.data)
-        if lv.requires_grad:
-            _sink(grads, lv, gs * var - gs)
+        return (gs * 2.0 * mu.data if mu.requires_grad else None,
+                gs * var - gs if lv.requires_grad else None)
 
     core = mu.data * mu.data - lv.data + var - 1.0
     return Tensor._from_op(np.asarray(core.sum() * scale), "kl-to-standard",
@@ -124,13 +120,15 @@ def mixture_bound_batch_mean(batch: DiagGaussian) -> Tensor:
     spread = c2.sum(axis=0) + var.sum(axis=0)       # sum_i c^2 + sum_i var
     total = float((spread * sum_inv + n * c2_inv.sum(axis=0)).sum())
 
-    def back(g, grads):
+    def back(g):
         gn = float(g) / (n * n)
+        g_mu = g_lv = None
         if mu.requires_grad:
             c_inv = c * inv
-            _sink(grads, mu, gn * (c * sum_inv + n * c_inv - c_inv.sum(axis=0)))
+            g_mu = gn * (c * sum_inv + n * c_inv - c_inv.sum(axis=0))
         if lv.requires_grad:
-            _sink(grads, lv, (0.5 * gn) * (var * sum_inv - inv * spread - n * c2_inv))
+            g_lv = (0.5 * gn) * (var * sum_inv - inv * spread - n * c2_inv)
+        return g_mu, g_lv
 
     return Tensor._from_op(np.asarray(0.5 * (total / (n * n) - d)),
                            "mixture-bound", (mu, lv), back)

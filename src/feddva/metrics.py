@@ -190,6 +190,14 @@ def clustering_report(model, shards: list[ClientShard], xi: float,
     )
 
 
+def accuracy(model, images: np.ndarray, labels: np.ndarray,
+             latents: str) -> float:
+    """Share of the flat image rows whose largest logit is their label."""
+    pred = np.argmax(model.predict_logits(Tensor(images),
+                                          latents=latents).data, axis=1)
+    return float(np.mean(pred == labels))
+
+
 def accuracy_per_client(models, shards: list[ClientShard], split: str = "held-out",
                         latents: str = "both"):
     """Deterministic per-client accuracy plus mean and across-client stddev.
@@ -207,9 +215,7 @@ def accuracy_per_client(models, shards: list[ClientShard], split: str = "held-ou
             raise ValueError(f"unknown split {split!r}")
         if images.shape[0] == 0:
             raise ValueError(f"accuracy: empty {split} split on shard {shard.id}")
-        pred = np.argmax(model.predict_logits(Tensor(images),
-                                              latents=latents).data, axis=1)
-        accs.append(float(np.mean(pred == labels)))
+        accs.append(accuracy(model, images, labels, latents))
     return accs, float(np.mean(accs)), float(np.std(accs))
 
 

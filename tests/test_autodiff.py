@@ -187,6 +187,20 @@ def test_grad_check_shaped_ops(kind, shapes):
         assert ok, f"{kind}: max rel err {err}"
 
 
+@pytest.mark.parametrize("kind,frozen", [
+    (kind, i) for kind, shapes in OP_SAMPLE_SHAPES.items() if len(shapes) > 1
+    for i in range(len(shapes))])
+def test_frozen_input_takes_no_gradient(kind, frozen):
+    rng = np.random.default_rng(SEEDS[kind] + 100 * frozen)
+    args = [leaf(rng, s) for s in OP_SAMPLE_SHAPES[kind]]
+    args[frozen].requires_grad = False
+    live = [a for i, a in enumerate(args) if i != frozen]
+    fn = lambda: ad.sum_all(ad.square(forward_op(kind, *args)))
+    err, ok = grad_check(fn, live)
+    assert ok, f"{kind}: max rel err {err}"
+    assert args[frozen].grad is None
+
+
 def test_bce_logits_matches_probability_formula():
     rng = np.random.default_rng(21)
     logits = rng.uniform(-4, 4, (3, 5))

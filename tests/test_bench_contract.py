@@ -6,7 +6,9 @@ function through a reference the tracer cannot reach, breaks the traced
 benchmark run; these tests catch it in the ordinary suite.
 """
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from feddva import (autodiff, cli, data, federation, gaussians, losses,
                     metrics, model)
 from feddva.config import ExperimentConfig
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -80,3 +83,19 @@ def test_traced_run_reaches_the_traced_names(monkeypatch):
     assert calls["autodiff.sgd_step"] == 2 * steps
     # the tracer keys client timings by the positional round argument
     assert sorted(tracer.client_update_s) == [1, 2]
+
+
+def test_every_span_the_harness_reads_is_registered(monkeypatch):
+    # harness.py imports tracer and workloads as top-level modules
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("harness", "tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    harness = importlib.import_module("harness")
+    read = {name.rsplit(".", 1)[0] for name, _, _ in harness.PER_LAYER
+            if name.endswith((".calls", ".incl_s", ".self_s"))}
+    tracer = harness.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert read and sorted(read - set(tracer.names)) == []

@@ -9,7 +9,7 @@ import pytest
 import feddva.gaussians
 import feddva.metrics
 from feddva import blas
-from feddva.checkpoint import load_checkpoint
+from feddva.checkpoint import load_checkpoint, save_checkpoint
 from feddva.cli import cmd_eval, cmd_train, main
 from feddva.config import ConfigError, ExperimentConfig, load_config
 from feddva.federation import run_experiment, worker_count
@@ -131,6 +131,18 @@ def test_negative_ft_epochs_named():
                             ft_epochs=0).ft_epochs == 0
     with pytest.raises(ConfigError, match="'ft_epochs'"):
         ExperimentConfig(task="classify", method="fedavg-ft", ft_epochs=-3)
+
+
+def test_layer_widths_named(tmp_path, capsys):
+    assert ExperimentConfig(hidden_dims=(), head_hidden=()).hidden_dims == ()
+    for key in ("hidden_dims", "head_hidden"):
+        for widths in ((0,), (8, -3)):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                ExperimentConfig(**{key: widths})
+    for flag in ("--hidden_dims=0", "--hidden_dims=-3", "--head_hidden=8,0"):
+        rc = main(["train", flag, "--output_dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"'{flag[2:].split('=')[0]}'" in capsys.readouterr().err
 
 
 def test_round_trip_lossless():
@@ -442,6 +454,44 @@ def test_eval_rejects_checkpoint_dir_not_named_by_round(tmp_path, capsys,
         assert rc == 2
         err = capsys.readouterr().err
         assert "round_NNNNN" in err and name in err
+
+
+def test_eval_rejects_client_checkpoint_of_another_architecture(tmp_path):
+    runs = {}
+    for d_z, d_c in ((2, 4), (4, 2)):
+        out = tmp_path / f"z{d_z}c{d_c}"
+        runs[d_z] = out
+        cmd_train(load_config(write_cfg(
+            tmp_path, FAST.replace("rounds = 3", "rounds = 1")
+            .replace("d_z = 2", f"d_z = {d_z}").replace("d_c = 2", f"d_c = {d_c}")
+            + f"output_dir = {out}\n")))
+    ckpt = runs[2] / "checkpoints" / "round_00001"
+    foreign = runs[4] / "checkpoints" / "round_00001" / "client_000.ckpt"
+    # the decoder vectors have equal lengths, so only the header tells
+    assert load_checkpoint(foreign)[2].size == \
+        load_checkpoint(ckpt / "client_000.ckpt")[2].size
+    shutil.copy(foreign, ckpt / "client_000.ckpt")
+    cfg = load_config(write_cfg(tmp_path, FAST.replace("d_c = 2", "d_c = 4")
+                                + f"output_dir = {runs[2]}\n"))
+    with pytest.raises(ConfigError, match="client_000.ckpt"):
+        cmd_eval(cfg)
+
+
+def test_eval_rejects_checkpoint_of_the_wrong_kind(tmp_path):
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST.replace("rounds = 3", "rounds = 1")
+                                + f"output_dir = {out}\n"))
+    cmd_train(cfg)
+    ckpt = out / "checkpoints" / "round_00001"
+    kind, arch, theta = load_checkpoint(ckpt / "shared.ckpt")
+    save_checkpoint(ckpt / "shared.ckpt", "local", arch, theta)
+    with pytest.raises(ConfigError, match="shared.ckpt.*'local'"):
+        cmd_eval(cfg)
+    save_checkpoint(ckpt / "shared.ckpt", kind, arch, theta)
+    _, arch, local = load_checkpoint(ckpt / "client_001.ckpt")
+    save_checkpoint(ckpt / "client_001.ckpt", "shared", arch, local)
+    with pytest.raises(ConfigError, match="client_001.ckpt.*'shared'"):
+        cmd_eval(cfg)
 
 
 def test_cli_main_selftest_and_errors(tmp_path, capsys):
