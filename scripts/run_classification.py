@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Personalized classification under label skew: dual-VAE vs baselines.
 
-Runs feddva, fedavg, and fedavg-ft on the same Dirichlet-skewed toy
-federation and prints per-client held-out accuracy (mean and across-client
-stddev) for each method. Artifacts land under runs/classify_s<seed>/.
+Trains and evaluates feddva, fedavg, and fedavg-ft on the same
+Dirichlet-skewed toy federation and prints per-client held-out accuracy
+(mean and across-client stddev) for each method. Each method's run lands
+under runs/classify_s<seed>/<method>/, a run directory that
+`feddva eval --output_dir` re-scores.
 
 Usage: python3 scripts/run_classification.py [seed]
 """
 
+import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from feddva.cli import cmd_eval, cmd_train
 from feddva.config import ExperimentConfig
-from feddva.federation import run_experiment
-from feddva.metrics import accuracy_per_client, export_accuracy_csv
 
 
 def main() -> int:
@@ -30,14 +32,14 @@ def main() -> int:
             xi_scale=0.04, beta=1.5, eval_every=10,
             seed=seed, output_dir=f"runs/classify_s{seed}/{method}",
         )
-        state = run_experiment(cfg)
-        models = {s.id: s.model for s in state.shards}
-        accs, mean, std = accuracy_per_client(models, state.shards)
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        export_accuracy_csv(accs, mean, std, out / "accuracy.csv")
-        print(f"{method:9s} held-out accuracy: mean={mean:.3f} "
-              f"across-client stddev={std:.3f}")
+        rc = cmd_train(cfg) or cmd_eval(cfg)
+        if rc != 0:
+            return rc
+        with open(Path(cfg.output_dir) / "eval" / "accuracy.csv") as f:
+            summary = {row[0]: float(row[1]) for row in csv.reader(f)
+                       if row[0] in ("mean", "stddev")}
+        print(f"{method:9s} held-out accuracy: mean={summary['mean']:.3f} "
+              f"across-client stddev={summary['stddev']:.3f}")
     return 0
 
 

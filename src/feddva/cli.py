@@ -12,8 +12,12 @@ eval   rebuilds models from a checkpoint directory, applies the method's
        traversal grids.
 selftest  the fast invariant suite; nonzero exit on any failure.
 
-Flags mirror ExperimentConfig keys and override the --config file. The
-FEDDVA_OUTPUT_DIR environment variable overrides output_dir.
+train flags mirror ExperimentConfig keys and override the --config file.
+eval and train --resume take their config from the run directory's
+config.txt instead: eval accepts only the keys that shape its report,
+and --resume only --rounds, to extend the run. The run directory is the
+FEDDVA_OUTPUT_DIR environment variable, else --output_dir, else the
+default output_dir.
 """
 
 from __future__ import annotations
@@ -39,28 +43,66 @@ from .metrics import (accuracy_per_client, clustering_report,
                       export_grid_image, latent_traversal, write_report_json)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(ExperimentConfig):
-        parser.add_argument(f"--{f.name}", default=None, type=str,
-                            help=f"override config key {f.name}")
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+# the keys eval may set: they shape the report, not the model it scores
+EVAL_KEYS = ("traversal_steps", "traversal_span")
+# the key --resume may set, to take the run further
+RESUME_KEYS = ("rounds",)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      keys=CONFIG_KEYS) -> None:
+    for key in keys:
+        parser.add_argument(f"--{key}", default=None, type=str,
+                            help=f"override config key {key}")
+
+
+def _with_overrides(text: str, args, keys) -> ExperimentConfig:
+    """The config of `text` with every key in `keys` that args sets."""
+    overrides = [f"{key} = {getattr(args, key)}" for key in keys
+                 if getattr(args, key) is not None]
+    return ExperimentConfig.from_text("\n".join([text, *overrides]))
 
 
 def _build_config(args) -> ExperimentConfig:
     text = ""
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
-    overrides = []
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides.append(f"{f.name} = {val}")
-    if overrides:
-        text = text + "\n" + "\n".join(overrides)
-    cfg = ExperimentConfig.from_text(text)
+    cfg = _with_overrides(text, args, CONFIG_KEYS)
     env_out = os.environ.get("FEDDVA_OUTPUT_DIR")
     if env_out:
         cfg.output_dir = env_out
     return cfg
+
+
+def _run_config(args, keys) -> ExperimentConfig:
+    """The config a run was trained with, read from its config.txt, with
+    the `keys` that args sets.
+
+    output_dir becomes the directory it was read from, since the stored
+    key goes stale when a run is moved.
+    """
+    run_dir = (os.environ.get("FEDDVA_OUTPUT_DIR") or args.output_dir
+               or ExperimentConfig.output_dir)
+    path = Path(run_dir) / "config.txt"
+    if not path.is_file():
+        raise ConfigError(f"no config.txt in {run_dir}: not a directory "
+                          "that train wrote")
+    cfg = _with_overrides(path.read_text(encoding="utf-8"), args, keys)
+    cfg.output_dir = run_dir
+    return cfg
+
+
+def _resume_config(args) -> ExperimentConfig:
+    given = ["--config"] if args.config is not None else []
+    given += [f"--{key}" for key in CONFIG_KEYS
+              if key not in ("output_dir", *RESUME_KEYS)
+              and getattr(args, key) is not None]
+    if given:
+        raise ConfigError(f"--resume continues the run in its config.txt "
+                          f"and takes only --output_dir and --rounds; got "
+                          f"{', '.join(given)}")
+    return _run_config(args, RESUME_KEYS)
 
 
 # ------------------------------------------------------------ persistence
@@ -174,25 +216,28 @@ def write_manifest(cfg: ExperimentConfig, out_dir: Path,
 
 def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(cfg.to_text())
-    write_manifest(cfg, out_dir, resume)
-
-    history_path = out_dir / "history.jsonl"
     if resume:
         ckpt = latest_checkpoint(out_dir, cfg.K)
         if ckpt is None:
             raise ConfigError(f"--resume: no checkpoints under {out_dir}")
         state = load_state(cfg, ckpt)
-        # drop a torn (unterminated) last line and every line past the
-        # checkpoint, keep the rest
-        text = history_path.read_text() if history_path.exists() else ""
-        kept = [line for line in text[:text.rfind("\n") + 1].splitlines()
-                if line and json.loads(line)["round"] <= state.round]
-        history_path.write_text("".join(k + "\n" for k in kept))
+        if cfg.rounds < state.round:
+            raise ConfigError(f"config key 'rounds': --resume cannot end the "
+                              f"run at round {cfg.rounds}, before its "
+                              f"checkpoint of round {state.round}")
     else:
         state = init_run(cfg)
-        history_path.write_text("")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.txt").write_text(cfg.to_text())
+    write_manifest(cfg, out_dir, resume)
+
+    # on resume, drop a torn (unterminated) last line and every line past
+    # the checkpoint, keep the rest
+    history_path = out_dir / "history.jsonl"
+    text = history_path.read_text() if resume and history_path.exists() else ""
+    kept = [line for line in text[:text.rfind("\n") + 1].splitlines()
+            if line and json.loads(line)["round"] <= state.round]
+    history_path.write_text("".join(k + "\n" for k in kept))
     if state.plan is not None:
         (out_dir / "partition.json").write_text(state.plan.to_json() + "\n")
 
@@ -264,14 +309,18 @@ def main(argv=None) -> int:
     p_train = sub.add_parser("train", help="run a federated experiment")
     p_train.add_argument("--config", default=None, help="flat key=value file")
     p_train.add_argument("--resume", action="store_true",
-                         help="continue from the last checkpoint")
+                         help="continue the run in output_dir from its last "
+                         "checkpoint, with its config.txt")
     _add_config_flags(p_train)
 
-    p_eval = sub.add_parser("eval", help="evaluate a trained run")
-    p_eval.add_argument("--config", default=None)
+    p_eval = sub.add_parser("eval", help="evaluate a trained run, with the "
+                            "config.txt in its output_dir")
+    p_eval.add_argument("--output_dir", default=None,
+                        help=f"the run directory; default: "
+                        f"{ExperimentConfig.output_dir}")
     p_eval.add_argument("--checkpoint-dir", default=None,
                         help="round directory; default: latest under output_dir")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, EVAL_KEYS)
 
     sub.add_parser("selftest", help="fast invariant suite")
 
@@ -280,10 +329,12 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             from .selftest import run_selftest
             return run_selftest()
-        cfg = _build_config(args)
-        if args.command == "train":
-            return cmd_train(cfg, resume=args.resume)
-        return cmd_eval(cfg, checkpoint_dir=args.checkpoint_dir)
+        if args.command == "eval":
+            return cmd_eval(_run_config(args, EVAL_KEYS),
+                            checkpoint_dir=args.checkpoint_dir)
+        if args.resume:
+            return cmd_train(_resume_config(args), resume=True)
+        return cmd_train(_build_config(args))
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

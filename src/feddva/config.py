@@ -10,7 +10,9 @@ form losslessly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+
+from .data import MIN_PER_CLIENT, TOY_MAX_CLASSES, TOY_MIN_SIDE
 
 TASKS = ("reconstruct", "classify")
 METHODS = ("feddva", "fedavg", "fedavg-ft", "vanilla-vae")
@@ -103,6 +105,20 @@ class ExperimentConfig:
         for key in ("hidden_dims", "head_hidden"):
             need(all(w >= 1 for w in getattr(self, key)), key,
                  "every layer width must be >= 1")
+        if self.dataset == "toy":
+            need(self.toy_per_class >= 1, "toy_per_class", "must be >= 1")
+            need(1 <= self.toy_classes <= TOY_MAX_CLASSES, "toy_classes",
+                 f"must be in [1, {TOY_MAX_CLASSES}]")
+            for key in ("toy_height", "toy_width"):
+                need(getattr(self, key) >= TOY_MIN_SIDE, key,
+                     f"must be >= {TOY_MIN_SIDE}")
+            # the partition gives every client at least this many samples
+            per_client = MIN_PER_CLIENT if self.partition == "label-skew" else 1
+            n = self.toy_classes * self.toy_per_class
+            need(n >= per_client * self.K, "toy_per_class",
+                 f"toy_classes * toy_per_class = {n} samples, but the "
+                 f"{self.partition} partition needs {per_client} per client, "
+                 f"{per_client * self.K} for K={self.K}")
         if self.method in ("fedavg", "fedavg-ft"):
             need(self.task == "classify", "method",
                  f"{self.method} requires task = classify")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,9 @@ IDX_LABEL_MAGIC = 0x00000801
 
 MARK_KINDS = ("horizontal-sinusoid", "ellipse", "vertical-sinusoid", "plain")
 
+# the label-skew partition tops every client up to this many samples
+MIN_PER_CLIENT = 4
+
 
 class IdxFormatError(ValueError):
     pass
@@ -35,7 +38,6 @@ class IdxFormatError(ValueError):
 class Dataset:
     images: np.ndarray  # [n, H, W] floats in [0, 1]
     labels: np.ndarray  # [n] int class ids
-    meta: str = ""
 
     def __post_init__(self):
         if self.images.ndim != 3 or self.images.shape[0] != self.labels.shape[0]:
@@ -160,7 +162,7 @@ def write_idx(path, array: np.ndarray) -> None:
 def load_idx_dataset(images_path, labels_path) -> Dataset:
     images = parse_idx(images_path)
     labels = parse_idx(labels_path)
-    return Dataset(images=images, labels=labels, meta=f"idx:{images_path}")
+    return Dataset(images=images, labels=labels)
 
 
 # ---------------------------------------------------------------- marks
@@ -273,7 +275,7 @@ def partition_uniform_marked(ds: Dataset, n_clients: int, seed: int,
 
 def partition_label_skew(ds: Dataset, n_clients: int, concentration: float,
                          seed: int, holdout_frac: float = 0.2,
-                         min_per_client: int = 4):
+                         min_per_client: int = MIN_PER_CLIENT):
     """Dirichlet label skew: per class, fractions over clients ~ Dir(conc).
 
     A minimal top-up moves samples from the largest shards until every
@@ -326,6 +328,9 @@ _GLYPHS = {
     7: ("hline_top", "diag"),
 }
 
+TOY_MAX_CLASSES = len(_GLYPHS)
+TOY_MIN_SIDE = 8  # smallest toy-digit height and width
+
 
 def _draw_stroke(canvas, stroke):
     h, w = canvas.shape
@@ -358,12 +363,12 @@ def _draw_stroke(canvas, stroke):
 def make_toy_digits(n_per_class: int, n_classes: int, height: int, width: int,
                     seed: int) -> Dataset:
     """Procedural class-distinct glyphs with per-sample jitter."""
-    if height < 8 or width < 8:
-        raise ValueError(f"toy digits need height, width >= 8, "
+    if height < TOY_MIN_SIDE or width < TOY_MIN_SIDE:
+        raise ValueError(f"toy digits need height, width >= {TOY_MIN_SIDE}, "
                          f"got {height}x{width}")
-    if not 1 <= n_classes <= len(_GLYPHS):
-        raise ValueError(f"toy generator supports 1..{len(_GLYPHS)} classes, "
-                         f"got {n_classes}")
+    if not 1 <= n_classes <= TOY_MAX_CLASSES:
+        raise ValueError(f"toy generator supports 1..{TOY_MAX_CLASSES} "
+                         f"classes, got {n_classes}")
     rng = np.random.default_rng(seed)
     images = np.empty((n_per_class * n_classes, height, width))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
@@ -383,5 +388,4 @@ def make_toy_digits(n_per_class: int, n_classes: int, height: int, width: int,
                        out=images[at])
             at += 1
     perm = rng.permutation(at)
-    return Dataset(images=images[perm], labels=labels[perm],
-                   meta=f"toy:{n_classes}x{n_per_class}@{height}x{width}")
+    return Dataset(images=images[perm], labels=labels[perm])

@@ -44,7 +44,7 @@ from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
                      loss_feddva, loss_vanilla_vae)
 from .metrics import accuracy
 from .model import MODEL_CLASS, ArchitectureConfig
-from .seeding import derive_seed, make_rng
+from .seeding import make_rng
 
 
 @dataclass

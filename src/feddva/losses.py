@@ -133,13 +133,10 @@ def loss_feddva(x: Tensor, model, xi: float, alpha: float, beta: float,
         klqcs.append(kl_qc.item())
         klmixes.append(kl_mix.item())
 
-    if n_samples == 1:
-        total = totals[0]
-    else:
-        acc = totals[0]
-        for t in totals[1:]:
-            acc = acc + t
-        total = ad.scale(acc, 1.0 / n_samples)
+    total = totals[0]
+    for t in totals[1:]:
+        total = total + t
+    total = ad.scale(total, 1.0 / n_samples)  # exact at n_samples == 1
 
     kl_qc_v = float(np.mean(klqcs))
     kl_mix_v = float(np.mean(klmixes))

@@ -145,6 +145,30 @@ def test_layer_widths_named(tmp_path, capsys):
         assert f"'{flag[2:].split('=')[0]}'" in capsys.readouterr().err
 
 
+def test_toy_sizes_checked_against_K_named(tmp_path, capsys):
+    for kwargs, key in (
+            (dict(toy_per_class=0), "toy_per_class"),
+            (dict(toy_classes=0), "toy_classes"),
+            (dict(toy_classes=9), "toy_classes"),
+            (dict(toy_height=7), "toy_height"),
+            (dict(toy_width=4), "toy_width"),
+            (dict(K=5, m=1, toy_classes=1, toy_per_class=4), "toy_per_class"),
+            (dict(K=5, m=1, partition="label-skew", toy_classes=2,
+                  toy_per_class=9), "toy_per_class")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig(**kwargs)
+    # just enough: one sample per marked client, four per label-skewed one
+    ExperimentConfig(K=5, m=1, toy_classes=1, toy_per_class=5)
+    ExperimentConfig(K=5, m=1, partition="label-skew", toy_classes=2,
+                     toy_per_class=10)
+    # the toy keys do not describe an IDX dataset
+    ExperimentConfig(dataset="digits-images.idx3", toy_per_class=0)
+    rc = main(["train", "--toy_per_class", "0", "--K", "2", "--m", "2",
+               "--output_dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'toy_per_class'" in capsys.readouterr().err
+
+
 def test_round_trip_lossless():
     cfg = ExperimentConfig(task="classify", method="fedavg-ft", K=9, m=4,
                            lr_eta=0.00125, hidden_dims=(48,), head_hidden=(),
@@ -446,6 +470,7 @@ def test_eval_rejects_checkpoint_dir_not_named_by_round(tmp_path, capsys,
         raise AssertionError("init_run ran before the directory name check")
 
     monkeypatch.setattr("feddva.cli.init_run", no_init)
+    (tmp_path / "config.txt").write_text(ExperimentConfig().to_text())
     for name in ("best", "round_final"):
         ckpt = tmp_path / name
         ckpt.mkdir()
@@ -492,6 +517,93 @@ def test_eval_rejects_checkpoint_of_the_wrong_kind(tmp_path):
     save_checkpoint(ckpt / "client_001.ckpt", "shared", arch, local)
     with pytest.raises(ConfigError, match="client_001.ckpt.*'shared'"):
         cmd_eval(cfg)
+
+
+def _train_fast(tmp_path, name, rounds):
+    """Train FAST (K=2, 8x8 toy digits: not the defaults) for `rounds`."""
+    out = tmp_path / name
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cfg.rounds = rounds
+    cmd_train(cfg)
+    return cfg, out
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_eval_reads_the_run_config(tmp_path, monkeypatch):
+    cfg, out = _train_fast(tmp_path, "run", 3)
+    cmd_eval(cfg)
+    expected = _files(out / "eval")
+    shutil.rmtree(out / "eval")
+    assert main(["eval", "--output_dir", str(out)]) == 0
+    assert _files(out / "eval") == expected
+
+    # a moved run is read from where it is now, not its stored output_dir
+    moved = tmp_path / "moved"
+    shutil.move(out, moved)
+    shutil.rmtree(moved / "eval")
+    monkeypatch.setenv("FEDDVA_OUTPUT_DIR", str(moved))
+    assert main(["eval"]) == 0
+    assert _files(moved / "eval") == expected
+    assert not out.exists()
+
+    # the keys that shape the report stay free
+    assert main(["eval", "--traversal_steps", "2"]) == 0
+    grid = parse_pgm(moved / "eval" / "traversal_client000.pgm")
+    assert grid.shape == (2 * 8 + 1, 2 * 8 + 1)
+
+
+def test_eval_rejects_config_flags(tmp_path, capsys):
+    cfg, out = _train_fast(tmp_path, "run", 1)
+    cmd_eval(cfg)
+    before = _files(out / "eval")
+    for flags in (["--seed", "9"], ["--toy_per_class", "12"],
+                  ["--config", str(out / "config.txt")]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--output_dir", str(out), *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+    assert _files(out / "eval") == before
+
+
+def test_eval_needs_the_run_config(tmp_path, capsys):
+    assert main(["eval", "--output_dir", str(tmp_path)]) == 2
+    assert "config.txt" in capsys.readouterr().err
+
+
+def test_resume_reads_the_run_config(tmp_path):
+    full_cfg, full = _train_fast(tmp_path, "full", 3)
+    _, part = _train_fast(tmp_path, "part", 2)
+    assert main(["train", "--resume", "--output_dir", str(part),
+                 "--rounds", "3"]) == 0
+    ckpt = "checkpoints/round_00003/shared.ckpt"
+    assert (full / ckpt).read_bytes() == (part / ckpt).read_bytes()
+    assert _history_without_walltime(full / "history.jsonl") == \
+        _history_without_walltime(part / "history.jsonl")
+    full_cfg.output_dir = str(part)
+    assert load_config(part / "config.txt") == full_cfg
+
+
+def test_resume_rejects_config_flags(tmp_path, capsys):
+    _, out = _train_fast(tmp_path, "run", 2)
+    before = _files(out)
+    for flags in (["--seed", "9"], ["--seed", "9", "--toy_per_class", "12"],
+                  ["--config", str(write_cfg(tmp_path, FAST))]):
+        rc = main(["train", "--resume", "--output_dir", str(out),
+                   "--rounds", "3", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(f in err for f in flags if f.startswith("--"))
+        assert "--rounds" not in err.split("got ", 1)[1]
+    # --rounds may extend the run, not end it before its checkpoint
+    assert main(["train", "--resume", "--output_dir", str(out),
+                 "--rounds", "1"]) == 2
+    assert "'rounds'" in capsys.readouterr().err
+    # config.txt, manifest.json, history and checkpoints as they were
+    assert _files(out) == before
 
 
 def test_cli_main_selftest_and_errors(tmp_path, capsys):
