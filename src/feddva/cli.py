@@ -36,9 +36,9 @@ import numpy as np
 from . import __version__, blas
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .federation import (ServerState, finalize, init_run, run_rounds,
-                         worker_count)
-from .metrics import (accuracy_per_client, clustering_report,
+from .federation import (ServerState, blank_run, finalize, init_run,
+                         run_rounds, worker_count)
+from .metrics import (accuracy_per_client, clustering_report, encode_shards,
                       export_accuracy_csv, export_embeddings_csv,
                       export_grid_image, latent_traversal, write_report_json)
 
@@ -57,22 +57,21 @@ def _add_config_flags(parser: argparse.ArgumentParser,
                             help=f"override config key {key}")
 
 
-def _with_overrides(text: str, args, keys) -> ExperimentConfig:
-    """The config of `text` with every key in `keys` that args sets."""
-    overrides = [f"{key} = {getattr(args, key)}" for key in keys
-                 if getattr(args, key) is not None]
-    return ExperimentConfig.from_text("\n".join([text, *overrides]))
+def _overrides(args, keys) -> dict[str, str]:
+    """The value of every key in `keys` that args sets, as typed."""
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
 
 
 def _build_config(args) -> ExperimentConfig:
     text = ""
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
-    cfg = _with_overrides(text, args, CONFIG_KEYS)
+    overrides = _overrides(args, CONFIG_KEYS)
     env_out = os.environ.get("FEDDVA_OUTPUT_DIR")
     if env_out:
-        cfg.output_dir = env_out
-    return cfg
+        overrides["output_dir"] = env_out
+    return ExperimentConfig.from_text(text, overrides)
 
 
 def _run_config(args, keys) -> ExperimentConfig:
@@ -88,9 +87,9 @@ def _run_config(args, keys) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"no config.txt in {run_dir}: not a directory "
                           "that train wrote")
-    cfg = _with_overrides(path.read_text(encoding="utf-8"), args, keys)
-    cfg.output_dir = run_dir
-    return cfg
+    return ExperimentConfig.from_text(path.read_text(encoding="utf-8"),
+                                      {**_overrides(args, keys),
+                                       "output_dir": run_dir})
 
 
 def _resume_config(args) -> ExperimentConfig:
@@ -139,11 +138,14 @@ def save_state(cfg: ExperimentConfig, state: ServerState, out_dir: Path) -> None
 
 
 def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
+    """The run as checkpointed in ckpt_dir: theta and every client's local
+    group read into the models of blank_run, which draws no init weights
+    for them to overwrite."""
     round_idx = _round_of(ckpt_dir)
     if round_idx is None:
         raise ConfigError(f"checkpoint directory {str(ckpt_dir)!r} is not "
                           "named round_NNNNN")
-    state = init_run(cfg)
+    state = blank_run(cfg)
 
     def load(name: str, kind: str) -> np.ndarray:
         got_kind, arch, flat = load_checkpoint(ckpt_dir / name)
@@ -276,14 +278,14 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_dir: str | None = None) -> int:
     eval_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.method == "feddva":
-        model = state.shards[0].model  # shared encoders are identical
-        report = clustering_report(model, state.shards, xi=cfg.xi_value(),
-                                   seed=cfg.seed)
+        # the shared encoders are identical: encode each shard once
+        codes = encode_shards(state.shards[0].model, state.shards)
+        report = clustering_report(codes, xi=cfg.xi_value(), seed=cfg.seed)
         write_report_json(report, eval_dir / "report.json")
-        export_embeddings_csv(model, state.shards, eval_dir / "embeddings.csv")
-        for s in state.shards:
-            grid = latent_traversal(s.model, s, anchor=0,
-                                    steps=cfg.traversal_steps,
+        export_embeddings_csv(codes, eval_dir / "embeddings.csv")
+        for s, code in zip(state.shards, codes):
+            grid = latent_traversal(s.model, code, s.images.shape[1:],
+                                    anchor=0, steps=cfg.traversal_steps,
                                     span=cfg.traversal_span)
             export_grid_image(grid, eval_dir / f"traversal_client{s.id:03d}.pgm")
 

@@ -5,7 +5,8 @@ name. Unset keys fall back to the full-scale defaults: batch 256,
 learning rates 0.001, 200 rounds of 5 epochs per phase, alpha 1,
 beta 0.75, xi of 8 per c dimension, and latent dims 4 for reconstruction
 or 8 for classification. A resolved config round-trips through its text
-form losslessly.
+form losslessly: validate rejects the free-text values (TEXT_KEYS) that the
+text could not carry.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ TASKS = ("reconstruct", "classify")
 METHODS = ("feddva", "fedavg", "fedavg-ft", "vanilla-vae")
 PARTITIONS = ("marked", "label-skew")
 LATENT_MODES = ("both", "z", "c")
+# free-text keys: config text carries a value only without '#', a line
+# break, or leading or trailing whitespace
+TEXT_KEYS = ("dataset", "idx_labels", "output_dir")
 
 
 class ConfigError(ValueError):
@@ -102,6 +106,12 @@ class ExperimentConfig:
         need(self.eval_every >= 1, "eval_every", "must be >= 1")
         need(self.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
         need(self.traversal_steps >= 1, "traversal_steps", "must be >= 1")
+        for key in TEXT_KEYS:
+            value = getattr(self, key)
+            need("#" not in value and value.strip() == value
+                 and "".join(value.splitlines()) == value, key,
+                 f"{value!r}: config text cannot carry a '#', a line break, "
+                 "or leading or trailing whitespace")
         for key in ("hidden_dims", "head_hidden"):
             need(all(w >= 1 for w in getattr(self, key)), key,
                  "every layer width must be >= 1")
@@ -146,8 +156,21 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
+    def from_text(cls, text: str,
+                  overrides: dict[str, str] | None = None) -> "ExperimentConfig":
+        """The config of `text`, with each key of `overrides` set to its
+        value as given: not cut at '#' nor stripped, so validate sees it."""
         known = {f.name: f for f in fields(cls)}
+
+        def parse(key: str, val: str):
+            try:
+                return _parse(known[key].type, val)
+            except ConfigError:
+                raise
+            except Exception as exc:
+                raise ConfigError(f"config key '{key}': cannot parse "
+                                  f"{val!r} ({exc})") from None
+
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -159,13 +182,9 @@ class ExperimentConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown config key '{key}'")
-            try:
-                values[key] = _parse(known[key].type, val)
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError(f"config key '{key}': cannot parse "
-                                  f"{val!r} ({exc})") from None
+            values[key] = parse(key, val)
+        for key, val in (overrides or {}).items():
+            values[key] = parse(key, val)
         return cls(**values)
 
 

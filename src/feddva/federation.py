@@ -420,16 +420,36 @@ def build_arch(cfg, ds: Dataset) -> ArchitectureConfig:
                               head_hidden=cfg.head_hidden)
 
 
-def init_run(cfg) -> ServerState:
+def _build_run(cfg, model_rng) -> ServerState:
+    """cfg's data, shards and architecture at round 0, each client's model
+    built from model_rng(client id), and theta of zeros."""
     ds = build_dataset(cfg)
     arch = build_arch(cfg, ds)
     shards, plan = build_shards(cfg, ds)
     model_class = MODEL_CLASS[cfg.method]
     for s in shards:
-        s.model = model_class(arch, make_rng(cfg.seed, "client-init", s.id))
-    server_model = model_class(arch, make_rng(cfg.seed, "server-init"))
-    return ServerState(theta=server_model.flatten_shared(), round=0,
-                       shards=shards, arch=arch, method=cfg.method, plan=plan)
+        s.model = model_class(arch, model_rng(s.id))
+    shared = shards[0].model.shared_parameters()
+    theta = np.zeros(sum(p.data.size for p in shared))
+    return ServerState(theta=theta, round=0, shards=shards, arch=arch,
+                       method=cfg.method, plan=plan)
+
+
+def init_run(cfg) -> ServerState:
+    """Round 0 of cfg's run: every client model and theta drawn from the
+    seed."""
+    state = _build_run(cfg, lambda k: make_rng(cfg.seed, "client-init", k))
+    server_model = MODEL_CLASS[cfg.method](state.arch,
+                                           make_rng(cfg.seed, "server-init"))
+    state.theta = server_model.flatten_shared()
+    return state
+
+
+def blank_run(cfg) -> ServerState:
+    """init_run without its init draws: every weight and theta is zero, for
+    a checkpoint to fill. A client's shared group stays zero until theta is
+    loaded into it, as client_update and finalize do."""
+    return _build_run(cfg, lambda k: None)
 
 
 def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:

@@ -3,7 +3,9 @@
 Everything here reads posterior means only, so accuracy and separation
 ratios are deterministic. The one sampled quantity, the Monte-Carlo KL of
 each client's c-posterior mixture against N(0, I), draws from a fixed
-derived seed and is therefore reproducible byte for byte.
+derived seed and is therefore reproducible byte for byte. encode_shards
+encodes each shard once; the report, the embeddings and the traversals
+read its arrays and run no encoder themselves.
 
 That estimator needs every component's log-density at every sample. With
 inv = 1/sigma^2, and x and mu centred on the mean m of the components'
@@ -56,6 +58,27 @@ class DisentanglementReport:
 
 
 @dataclass
+class ShardCodes:
+    """One encode of a shard's train images: the means of q(z|x) and of
+    q(c|x, mu_z), and the log-variance of q(c|x, mu_z), one row per
+    sample."""
+    shard_id: int
+    z_mu: np.ndarray
+    c_mu: np.ndarray
+    c_log_var: np.ndarray
+
+
+def encode_shards(model, shards: list[ClientShard]) -> list[ShardCodes]:
+    """The ShardCodes of each shard under model's shared encoders."""
+    codes = []
+    for shard in shards:
+        qz, qc = model.posteriors(Tensor(shard.flat_images()))
+        codes.append(ShardCodes(shard.id, qz.mu.data, qc.mu.data,
+                                qc.log_var.data))
+    return codes
+
+
+@dataclass
 class TraversalGrid:
     images: np.ndarray  # [steps_z, steps_c, H, W]
     anchor: int
@@ -68,30 +91,30 @@ def _principal_axis(points: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
-def latent_traversal(model, shard: ClientShard, anchor: int, steps: int,
-                     span: float) -> TraversalGrid:
-    """Grid of decodes: rows sweep z, columns sweep c around the anchor.
+def latent_traversal(model, code: ShardCodes, shape: tuple[int, int],
+                     anchor: int, steps: int, span: float) -> TraversalGrid:
+    """Grid of [height, width] = shape decodes by model: rows sweep z,
+    columns sweep c around the anchor.
 
     Sweeps run along the top principal axis of the shard's posterior means
     (the first coordinate axis for a one-sample shard); the center cell is
     the anchor's own reconstruction from its means.
     """
-    if not 0 <= anchor < shard.n:
-        raise ValueError(f"anchor {anchor} outside shard of {shard.n} samples")
-    z_mu, c_mu = (m.data for m in
-                  model.posterior_means(Tensor(shard.flat_images())))
+    z_mu, c_mu = code.z_mu, code.c_mu
+    n = z_mu.shape[0]
+    if not 0 <= anchor < n:
+        raise ValueError(f"anchor {anchor} outside shard of {n} samples")
     if not (np.isfinite(z_mu).all() and np.isfinite(c_mu).all()):
         raise ValueError("latent_traversal: non-finite posterior means; "
                          "model looks untrained or diverged")
-    if shard.n > 1:
+    if n > 1:
         dir_z = _principal_axis(z_mu)
         dir_c = _principal_axis(c_mu)
     else:
         dir_z = np.eye(z_mu.shape[1])[0]
         dir_c = np.eye(c_mu.shape[1])[0]
     offsets = np.linspace(-span, span, steps) if steps > 1 else np.zeros(1)
-    h = shard.images.shape[1]
-    w = shard.images.shape[2]
+    h, w = shape
     grid = np.zeros((steps, steps, h, w))
     z_rows = np.stack([z_mu[anchor] + o * dir_z for o in offsets])
     c_cols = np.stack([c_mu[anchor] + o * dir_c for o in offsets])
@@ -157,24 +180,23 @@ def mixture_kl_to_standard_mc(mus: np.ndarray, sigmas: np.ndarray,
     return float(np.mean(log_mix - log_std))
 
 
-def clustering_report(model, shards: list[ClientShard], xi: float,
+def clustering_report(codes: list[ShardCodes], xi: float,
                       mc_samples: int = 10_000, seed: int = 0,
                       max_mixture_components: int = 128) -> DisentanglementReport:
     """Per-client clustering of c vs client-invariance of z, plus the
     Monte-Carlo estimate of each client's mixture-to-prior KL."""
-    if len(shards) < 2:
+    if len(codes) < 2:
         raise ValueError("clustering_report: need at least 2 clients")
     z_all, c_all, estimates = [], [], []
-    for shard in shards:
-        if shard.n < 2:
-            raise ValueError(f"clustering_report: shard {shard.id} has "
+    for code in codes:
+        if code.z_mu.shape[0] < 2:
+            raise ValueError(f"clustering_report: shard {code.shard_id} has "
                              f"fewer than 2 samples")
-        qz, qc = model.posteriors(Tensor(shard.flat_images()))
-        z_all.append(qz.mu.data)
-        c_all.append(qc.mu.data)
-        mus = qc.mu.data
-        sigmas = np.exp(qc.log_var.data / 2.0)
-        rng = make_rng(seed, "mixture-kl", shard.id)
+        z_all.append(code.z_mu)
+        c_all.append(code.c_mu)
+        mus = code.c_mu
+        sigmas = np.exp(code.c_log_var / 2.0)
+        rng = make_rng(seed, "mixture-kl", code.shard_id)
         if mus.shape[0] > max_mixture_components:
             keep = rng.choice(mus.shape[0], size=max_mixture_components,
                               replace=False)
@@ -251,14 +273,13 @@ def parse_pgm(path) -> np.ndarray:
                          count=width * height).reshape(height, width)
 
 
-def export_embeddings_csv(model, shards: list[ClientShard], path) -> None:
+def export_embeddings_csv(codes: list[ShardCodes], path) -> None:
     """client_id, sample_id, z_0..z_{d-1}, c_0..c_{d-1} for every train sample."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         first = True
-        for shard in shards:
-            z_mu, c_mu = (m.data for m in
-                          model.posterior_means(Tensor(shard.flat_images())))
+        for code in codes:
+            z_mu, c_mu = code.z_mu, code.c_mu
             if first:
                 header = (["client_id", "sample_id"]
                           + [f"z_{i}" for i in range(z_mu.shape[1])]
@@ -266,7 +287,7 @@ def export_embeddings_csv(model, shards: list[ClientShard], path) -> None:
                 writer.writerow(header)
                 first = False
             for s in range(z_mu.shape[0]):
-                writer.writerow([shard.id, s, *z_mu[s].tolist(),
+                writer.writerow([code.shard_id, s, *z_mu[s].tolist(),
                                  *c_mu[s].tolist()])
 
 

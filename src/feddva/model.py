@@ -9,7 +9,8 @@ local head over the two posterior means.
 Networks are dense MLPs. Trunk weights initialize uniform in
 ±1/sqrt(fan_in); the four posterior-head layers initialize to zero so
 every posterior starts exactly at N(0, I), which keeps the constraint
-monitor nonnegative from the first logged batch.
+monitor nonnegative from the first logged batch. A model built with rng
+None draws nothing and holds zeros everywhere, for a checkpoint to fill.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class ArchitectureConfig:
 
 
 class Dense:
-    """One affine layer: x @ W + b."""
+    """One affine layer: x @ W + b; zero weights when zero or rng is None."""
 
-    def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int,
-                 zero: bool = False):
-        if zero:
+    def __init__(self, rng: np.random.Generator | None, fan_in: int,
+                 fan_out: int, zero: bool = False):
+        if zero or rng is None:
             w = np.zeros((fan_in, fan_out))
             b = np.zeros((1, fan_out))
         else:
@@ -172,7 +173,8 @@ class FederatedModel:
 class DvaModel(FederatedModel):
     """Shared dual encoders plus this client's decoder and optional head."""
 
-    def __init__(self, arch: ArchitectureConfig, rng: np.random.Generator):
+    def __init__(self, arch: ArchitectureConfig,
+                 rng: np.random.Generator | None):
         self.arch = arch
         act = arch.activation
         h = arch.hidden_dims
@@ -265,7 +267,8 @@ class DvaModel(FederatedModel):
 class VanillaVaeModel(FederatedModel):
     """Single-encoder VAE: shared encoder, client-local z-only decoder."""
 
-    def __init__(self, arch: ArchitectureConfig, rng: np.random.Generator):
+    def __init__(self, arch: ArchitectureConfig,
+                 rng: np.random.Generator | None):
         self.arch = arch
         act = arch.activation
         h = arch.hidden_dims
@@ -294,7 +297,8 @@ class VanillaVaeModel(FederatedModel):
 class PixelClassifier(FederatedModel):
     """Plain MLP classifier on raw pixels; every parameter is shared."""
 
-    def __init__(self, arch: ArchitectureConfig, rng: np.random.Generator):
+    def __init__(self, arch: ArchitectureConfig,
+                 rng: np.random.Generator | None):
         if arch.n_classes is None:
             raise ValueError("PixelClassifier needs n_classes")
         self.arch = arch

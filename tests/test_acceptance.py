@@ -23,7 +23,8 @@ from feddva.federation import (aggregate, client_update, init_run,
 from feddva.gaussians import DiagGaussian, kl_pairwise, kl_to_standard
 from feddva.losses import hinge_max, loss_feddva
 from feddva.metrics import (TraversalGrid, accuracy_per_client,
-                            clustering_report, export_grid_image, parse_pgm)
+                            clustering_report, encode_shards,
+                            export_grid_image, parse_pgm)
 from feddva.model import ArchitectureConfig, DvaModel
 from feddva.selftest import OP_SAMPLE_SHAPES
 from oracles import (grad_check, kl_to_batch_mixture, leaf,
@@ -61,7 +62,8 @@ def disentangle_runs():
     for seed in DISENTANGLE_SEEDS:
         cfg = disentangle_cfg(seed)
         state = run_experiment(cfg)
-        rep = clustering_report(state.shards[0].model, state.shards,
+        rep = clustering_report(encode_shards(state.shards[0].model,
+                                              state.shards),
                                 xi=cfg.xi_value(), seed=cfg.seed)
         runs[seed] = (cfg, state, rep)
     return runs, time.monotonic() - start

@@ -85,6 +85,30 @@ def test_traced_run_reaches_the_traced_names(monkeypatch):
     assert sorted(tracer.client_update_s) == [1, 2]
 
 
+def test_traced_eval_reaches_each_eval_layer(tmp_path, monkeypatch):
+    # perfbench's eval-layer metrics read these counts; one worker, as the
+    # tracer sees only this process
+    monkeypatch.setattr(federation, "available_cores", lambda: 1)
+    cfg = ExperimentConfig(K=3, m=3, rounds=1, epochs_per_phase=1,
+                           batch_size=16, toy_per_class=12, toy_classes=2,
+                           toy_height=8, toy_width=8, hidden_dims=(8,),
+                           d_z=2, d_c=2, seed=4, traversal_steps=2,
+                           output_dir=str(tmp_path))
+    cli.cmd_train(cfg)
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        cli.cmd_eval(cfg)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.per_name().items()}
+    for name in ("cli.load_state", "data.make_toy_digits",
+                 "metrics.clustering_report", "metrics.export_embeddings_csv"):
+        assert calls[name] == 1, name
+    assert calls["metrics.latent_traversal"] == cfg.K
+    assert calls["model.encode_z"] == cfg.K
+
+
 def test_every_span_the_harness_reads_is_registered(monkeypatch):
     # harness.py imports tracer and workloads as top-level modules
     monkeypatch.syspath_prepend(str(PERFBENCH))

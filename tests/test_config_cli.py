@@ -8,12 +8,13 @@ import pytest
 
 import feddva.gaussians
 import feddva.metrics
-from feddva import blas
+from feddva import blas, federation
 from feddva.checkpoint import load_checkpoint, save_checkpoint
-from feddva.cli import cmd_eval, cmd_train, main
+from feddva.cli import cmd_eval, cmd_train, load_state, main
 from feddva.config import ConfigError, ExperimentConfig, load_config
 from feddva.federation import run_experiment, worker_count
 from feddva.metrics import accuracy_per_client, export_accuracy_csv, parse_pgm
+from feddva.model import DvaModel
 from feddva.selftest import run_selftest
 
 
@@ -180,6 +181,16 @@ def test_round_trip_lossless():
 def test_comments_and_blank_lines(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "# comment\n\nrounds = 7 # tail\n"))
     assert cfg.rounds == 7
+
+
+@pytest.mark.parametrize("key", ["dataset", "idx_labels", "output_dir"])
+def test_text_values_config_text_cannot_carry_named(key):
+    # '#' starts a comment, a line break a new key, and the parser strips
+    # each value: config.txt would reload any of these as another value
+    for bad in ("runs/a#b", "runs/x\nrounds = 3", "runs/x\r", " runs/x",
+                "runs/x "):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            ExperimentConfig(**{key: bad})
 
 
 # -------------------------------------------------------------------- CLI
@@ -469,7 +480,7 @@ def test_eval_rejects_checkpoint_dir_not_named_by_round(tmp_path, capsys,
     def no_init(cfg):
         raise AssertionError("init_run ran before the directory name check")
 
-    monkeypatch.setattr("feddva.cli.init_run", no_init)
+    monkeypatch.setattr("feddva.cli.blank_run", no_init)
     (tmp_path / "config.txt").write_text(ExperimentConfig().to_text())
     for name in ("best", "round_final"):
         ckpt = tmp_path / name
@@ -556,6 +567,45 @@ def test_eval_reads_the_run_config(tmp_path, monkeypatch):
     assert grid.shape == (2 * 8 + 1, 2 * 8 + 1)
 
 
+def test_eval_encodes_each_shard_once(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    text = FAST.replace("K = 2", "K = 3").replace("m = 2", "m = 3")
+    cfg = load_config(write_cfg(tmp_path, text + f"output_dir = {out}\n"))
+    cmd_train(cfg)
+    encoded = []
+    posteriors = DvaModel.posteriors
+
+    def counted(model, x):
+        encoded.append(x.shape[0])
+        return posteriors(model, x)
+
+    monkeypatch.setattr(DvaModel, "posteriors", counted)
+    assert cmd_eval(cfg) == 0
+    assert len(encoded) == cfg.K
+
+
+def test_load_state_draws_no_init_weights(tmp_path, monkeypatch):
+    cfg, out = _train_fast(tmp_path, "run", 2)
+    ckpt = out / "checkpoints" / "round_00002"
+    labels = []
+    make_rng = federation.make_rng
+
+    def recorded(seed, *parts):
+        labels.append(parts[0])
+        return make_rng(seed, *parts)
+
+    monkeypatch.setattr(federation, "make_rng", recorded)
+    state = load_state(cfg, ckpt)
+    assert {"client-init", "server-init"}.isdisjoint(labels)
+    assert np.array_equal(state.theta,
+                          load_checkpoint(ckpt / "shared.ckpt")[2])
+    for s in state.shards:
+        # the shared group holds zeros until theta is loaded into it
+        assert not s.model.flatten_shared().any()
+        assert np.array_equal(s.model.flatten_local(), load_checkpoint(
+            ckpt / f"client_{s.id:03d}.ckpt")[2])
+
+
 def test_eval_rejects_config_flags(tmp_path, capsys):
     cfg, out = _train_fast(tmp_path, "run", 1)
     cmd_eval(cfg)
@@ -620,6 +670,23 @@ def test_cli_flag_overrides(tmp_path):
                "--output_dir", str(out)])
     assert rc == 0
     assert (out / "config.txt").read_text().find("rounds = 0") >= 0
+
+
+def test_flag_values_are_checked_before_comments_are_cut(tmp_path, capsys,
+                                                        monkeypatch):
+    small = ["--rounds", "0", "--K", "2", "--m", "2", "--toy_per_class", "8",
+             "--toy_height", "8", "--toy_width", "8", "--hidden_dims", "8",
+             "--d_z", "2", "--d_c", "2"]
+    for flags, key in (
+            (["--output_dir", str(tmp_path / "a#b")], "output_dir"),
+            (["--output_dir", str(tmp_path / "run"),
+              "--dataset", str(tmp_path / "x#1.idx")], "dataset")):
+        assert main(["train", *small, *flags]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+    monkeypatch.setenv("FEDDVA_OUTPUT_DIR", str(tmp_path / "e#f"))
+    assert main(["train", *small]) == 2
+    assert "config key 'output_dir'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no run in a, e or run
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.config import ExperimentConfig
-from feddva.federation import (aggregate, client_update, init_run,
-                               iter_batches, run_experiment, run_rounds,
-                               sample_clients, two_phase_update)
+from feddva.federation import (aggregate, blank_run, client_update,
+                               init_run, iter_batches, run_experiment,
+                               run_rounds, sample_clients, two_phase_update)
 from feddva.seeding import make_rng
 
 
@@ -407,6 +407,23 @@ def test_fedavg_single_client_is_centralized():
     fresh = init_run(cfg)
     theta_k, _ = client_update(fresh.shards[0], fresh.theta, cfg, 1)
     assert state.theta.tobytes() == theta_k.tobytes()
+
+
+@pytest.mark.parametrize("over", [{}, dict(task="classify",
+                                          partition="label-skew")])
+def test_blank_run_is_init_run_with_zero_weights(over):
+    cfg = small_cfg(**over)
+    drawn, blank = init_run(cfg), blank_run(cfg)
+    assert (blank.arch, blank.round, blank.plan) == \
+        (drawn.arch, drawn.round, drawn.plan)
+    assert blank.theta.shape == drawn.theta.shape and not blank.theta.any()
+    for a, b in zip(drawn.shards, blank.shards, strict=True):
+        for attr in ("images", "labels", "holdout_images", "holdout_labels"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+        assert (a.id, a.weight, a.xi) == (b.id, b.weight, b.xi)
+        assert not any(p.data.any() for p in b.model.all_parameters())
+        assert [p.shape for p in b.model.all_parameters()] == \
+            [p.shape for p in a.model.all_parameters()]
 
 
 def test_run_experiment_dispatch():

@@ -8,7 +8,7 @@ from feddva.autodiff import Tensor
 from feddva.data import ClientShard, make_toy_digits, partition_uniform_marked
 from feddva.metrics import (DisentanglementReport, TraversalGrid,
                             accuracy_per_client, clustering_report,
-                            export_grid_image, latent_traversal,
+                            encode_shards, export_grid_image, latent_traversal,
                             mixture_kl_to_standard_mc, parse_pgm,
                             export_embeddings_csv,
                             _separation_ratio)
@@ -28,19 +28,38 @@ def shards_and_model(seed=0, k=3, n_per_class=12):
     return shards, model
 
 
+# ------------------------------------------------------------ encoding
+
+
+def test_encode_shards_holds_each_shards_posteriors():
+    shards, model = shards_and_model()
+    codes = encode_shards(model, shards)
+    assert [c.shard_id for c in codes] == [s.id for s in shards]
+    for shard, code in zip(shards, codes):
+        qz, qc = model.posteriors(Tensor(shard.flat_images()))
+        assert np.array_equal(code.z_mu, qz.mu.data)
+        assert np.array_equal(code.c_mu, qc.mu.data)
+        assert np.array_equal(code.c_log_var, qc.log_var.data)
+
+
 # ------------------------------------------------------------- traversal
+
+
+def traverse(model, shard, **kw):
+    return latent_traversal(model, encode_shards(model, [shard])[0],
+                            shard.images.shape[1:], **kw)
 
 
 def test_traversal_grid_shape():
     shards, model = shards_and_model()
-    grid = latent_traversal(model, shards[0], anchor=0, steps=5, span=1.5)
+    grid = traverse(model, shards[0], anchor=0, steps=5, span=1.5)
     assert grid.images.shape == (5, 5, 8, 8)
 
 
 def test_traversal_single_step_is_anchor_recon():
     shards, model = shards_and_model()
     shard = shards[0]
-    grid = latent_traversal(model, shard, anchor=2, steps=1, span=1.0)
+    grid = traverse(model, shard, anchor=2, steps=1, span=1.0)
     z_mu, c_mu = model.posterior_means(Tensor(shard.flat_images()))
     recon = ad.sigmoid(model.decode(Tensor(z_mu.data[2:3]),
                                     Tensor(c_mu.data[2:3]))).data
@@ -49,7 +68,7 @@ def test_traversal_single_step_is_anchor_recon():
 
 def test_traversal_zero_span_all_cells_identical():
     shards, model = shards_and_model()
-    grid = latent_traversal(model, shards[0], anchor=0, steps=4, span=0.0)
+    grid = traverse(model, shards[0], anchor=0, steps=4, span=0.0)
     base = grid.images[0, 0]
     assert np.allclose(grid.images, base[None, None])
 
@@ -58,13 +77,13 @@ def test_traversal_rejects_nan_model():
     shards, model = shards_and_model()
     model.z_mu.w.data[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        latent_traversal(model, shards[0], anchor=0, steps=3, span=1.0)
+        traverse(model, shards[0], anchor=0, steps=3, span=1.0)
 
 
 def test_traversal_anchor_bounds():
     shards, model = shards_and_model()
     with pytest.raises(ValueError, match="anchor"):
-        latent_traversal(model, shards[0], anchor=10**6, steps=3, span=1.0)
+        traverse(model, shards[0], anchor=10**6, steps=3, span=1.0)
 
 
 # ------------------------------------------------------------ clustering
@@ -92,13 +111,14 @@ def test_separation_ratio_identical_points_is_zero():
 def test_clustering_report_requires_two_clients():
     shards, model = shards_and_model(k=3)
     with pytest.raises(ValueError, match="2 clients"):
-        clustering_report(model, shards[:1], xi=1.0)
+        clustering_report(encode_shards(model, shards[:1]), xi=1.0)
 
 
 def test_clustering_report_fields_and_determinism():
     shards, model = shards_and_model()
-    a = clustering_report(model, shards, xi=0.5, mc_samples=2000, seed=3)
-    b = clustering_report(model, shards, xi=0.5, mc_samples=2000, seed=3)
+    codes = encode_shards(model, shards)
+    a = clustering_report(codes, xi=0.5, mc_samples=2000, seed=3)
+    b = clustering_report(codes, xi=0.5, mc_samples=2000, seed=3)
     assert a == b
     assert isinstance(a, DisentanglementReport)
     assert a.separation_ratio_c >= 0 and a.separation_ratio_z >= 0
@@ -257,7 +277,7 @@ def test_pgm_round_trip_to_quantization(tmp_path):
 def test_embeddings_csv(tmp_path):
     shards, model = shards_and_model()
     path = tmp_path / "emb.csv"
-    export_embeddings_csv(model, shards, path)
+    export_embeddings_csv(encode_shards(model, shards), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "client_id,sample_id,z_0,z_1,z_2,c_0,c_1"
     assert len(lines) == 1 + sum(s.n for s in shards)
