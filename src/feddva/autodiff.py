@@ -167,7 +167,9 @@ def sgd_step(params: Sequence[Tensor], lr: float) -> None:
         if p.grad is None:
             raise GraphError(f"sgd_step: parameter {i} (shape {p.shape}) has no gradient")
     for p in params:
-        p.data -= lr * p.grad
+        # the leaf owns its grad array (backward allocates it), so scale it
+        p.grad *= lr
+        p.data -= p.grad
         p.grad = None
 
 
@@ -350,24 +352,45 @@ def add_rowvec(x: Tensor, row: Tensor) -> Tensor:
     return Tensor._from_op(x.data + r[None, :], "broadcast-add-row", (x, row), back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with b broadcast over rows: one node for a dense layer.
+def linear(*operands: Tensor) -> Tensor:
+    """linear(x_1, ..., x_k, w, b): x @ w + b for the input x that joins the
+    k >= 1 parts x_i along the last axis, b broadcast over rows; one node
+    for a dense layer.
 
-    Bitwise equal to ``add_rowvec(matmul(x, w), b)``, forward and backward.
+    Bitwise equal to ``add_rowvec(matmul(x, w), b)`` with x from
+    ``concat_last``, forward and, for one part, backward. Part i's gradient
+    is ``g @ w[rows_i].T`` over its own weight rows, computed only when the
+    part requires grad, so a frozen input column block costs no GEMM.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} do not conform")
+    if len(operands) < 3:
+        raise ShapeError(f"linear: needs input parts, w and b; got "
+                         f"{len(operands)} operands")
+    *xs, w, b = operands
+    if (w.data.ndim != 2
+            or any(x.data.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs)
+            or sum(x.shape[1] for x in xs) != w.shape[0]):
+        shapes = " | ".join(str(x.shape) for x in xs)
+        raise ShapeError(f"linear: shapes {shapes} @ {w.shape} do not conform")
     r = b.data.reshape(-1)
     if b.data.ndim > 2 or r.shape[0] != w.shape[1]:
         raise ShapeError(f"linear: bias shape {b.shape} does not match "
                          f"columns of {w.shape}")
+    x = xs[0].data if len(xs) == 1 else np.concatenate([p.data for p in xs],
+                                                       axis=1)
+    out = x @ w.data
+    out += r
 
     def back(g):
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
+        grads, at = [], 0
+        for p in xs:
+            rows = w.data[at:at + p.shape[1]]
+            grads.append(g @ rows.T if p.requires_grad else None)
+            at += p.shape[1]
+        return (*grads,
+                x.T @ g if w.requires_grad else None,
                 g.sum(axis=0).reshape(b.shape) if b.requires_grad else None)
 
-    return Tensor._from_op(x.data @ w.data + r[None, :], "linear", (x, w, b), back)
+    return Tensor._from_op(out, "linear", (*xs, w, b), back)
 
 
 def bce_logits(logits: Tensor, x: Tensor) -> Tensor:

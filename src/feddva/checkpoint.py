@@ -48,13 +48,18 @@ def load_checkpoint(path) -> tuple[str, ArchitectureConfig, np.ndarray]:
     at += 4
     if len(raw) < at + header_len + 8:
         raise CheckpointError(f"{path}: truncated header/count at byte {at}")
-    header = raw[at:at + header_len].decode("utf-8")
-    at += header_len
-    kind_line, arch_text = header.split("\n", 1)
-    if not kind_line.startswith("kind="):
-        raise CheckpointError(f"{path}: malformed header kind line")
+    try:
+        header = raw[at:at + header_len].decode("utf-8")
+        kind_line, newline, arch_text = header.partition("\n")
+        if not kind_line.startswith("kind=") or not newline:
+            raise ValueError("expected a 'kind=' line, then the architecture")
+        arch = ArchitectureConfig.from_text(arch_text)
+    except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise CheckpointError(f"{path}: malformed header at byte {at}: "
+                              f"{detail}") from None
     kind = kind_line[len("kind="):]
-    arch = ArchitectureConfig.from_text(arch_text)
+    at += header_len
     (count,) = struct.unpack_from("<Q", raw, at)
     at += 8
     expected = count * 8

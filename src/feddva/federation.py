@@ -7,6 +7,11 @@ phases over its local batches:
   Phase 1  shared parameters frozen, local decoder (and head) stepped
   Phase 2  local parameters frozen, the shared copy stepped
 
+Each phase computes only what it steps. q(z|x) cannot change while the
+encoders are frozen, so phase 1 encodes the shard once and feeds each
+batch its rows of that encoding as constants; phase 2 encodes each batch.
+The wall seconds of each phase go to the history beside the update's.
+
 The client's decoder persists in its shard across rounds and never
 travels; only the phase-2 shared vector returns to the server, which
 averages the sampled vectors with weights renormalized over the sampled
@@ -40,6 +45,7 @@ from . import blas
 from .autodiff import Tensor, backward, sgd_step
 from .data import (ClientShard, Dataset, load_idx_dataset, make_toy_digits,
                    partition_label_skew, partition_uniform_marked)
+from .gaussians import DiagGaussian
 from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
                      loss_feddva, loss_vanilla_vae)
 from .metrics import accuracy
@@ -107,8 +113,9 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                      lr_local: float, lr_shared: float,
-                     epochs_per_phase: int) -> list:
-    """Run the decoder-then-encoder coordinate update; returns loss records.
+                     epochs_per_phase: int) -> tuple[list, dict[str, float]]:
+    """Run the decoder-then-encoder coordinate update; returns the phase-2
+    loss records and the wall seconds of each phase run, by phase name.
 
     loss_fn(batch) must return an object with a scalar ``total`` tensor (or
     a bare tensor). batch_stream(phase, epoch) yields batches. Order is
@@ -123,13 +130,14 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
     """
     everything = list(local_params) + list(shared_params)
     flags = [p.requires_grad for p in everything]
-    records = []
+    records, seconds = [], {}
     try:
         for phase, params, frozen, lr in (
                 ("local", local_params, shared_params, lr_local),
                 ("shared", shared_params, local_params, lr_shared)):
             if not params:
                 continue
+            start = time.perf_counter()
             for p in params:
                 p.requires_grad = True
             for p in frozen:
@@ -142,10 +150,11 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                     sgd_step(params, lr)
                     if phase == "shared":
                         records.append(_release_graph(out))
+            seconds[phase] = time.perf_counter() - start
     finally:
         for p, flag in zip(everything, flags):
             p.requires_grad = flag
-    return records
+    return records, seconds
 
 
 def _release_graph(out):
@@ -158,10 +167,14 @@ def _release_graph(out):
 
 def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
                   epochs: int | None = None
-                  ) -> tuple[np.ndarray, list[LossBreakdown]]:
-    """One ClientUpdate: load shared params, phase 1 then phase 2.
+                  ) -> tuple[np.ndarray, list[LossBreakdown], dict[str, float]]:
+    """One ClientUpdate: load shared params, phase 1 then phase 2; returns
+    the shared vector and two_phase_update's records and phase seconds.
 
-    epochs overrides cfg.epochs_per_phase; fedavg-ft fine-tunes with it.
+    A batch is its row indices and, in phase 1, those rows of the shard's
+    q(z|x), encoded once after the shared group is frozen; in phase 2 the
+    loss encodes the batch. epochs overrides cfg.epochs_per_phase;
+    fedavg-ft fine-tunes with it.
     """
     if shard.n == 0:
         raise ValueError(f"client_update: shard {shard.id} is empty")
@@ -171,33 +184,44 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
     labels = shard.labels
     local = model.local_parameters()
 
+    codes = None  # phase 1's q(z|x) of every row, as (mu, log_var) arrays
+
     def batch_stream(phase, epoch):
+        nonlocal codes
         # a model with no local group draws its batches under FedAvg's label
         label = phase if local else "fedavg"
         rng = make_rng(cfg.seed, "batches", shard.id, round_idx, label, epoch)
-        yield from iter_batches(shard.n, cfg.batch_size, rng)
+        if phase == "local" and codes is None:
+            qz = model.encode_z(Tensor(x_all))
+            codes = (qz.mu.data, qz.log_var.data)
+        for idx in iter_batches(shard.n, cfg.batch_size, rng):
+            yield idx, (DiagGaussian(*(Tensor(a[idx]) for a in codes))
+                        if phase == "local" else None)
 
     noise_rng = make_rng(cfg.seed, "noise", shard.id, round_idx)
 
-    def loss_fn(idx):
+    def loss_fn(batch):
+        idx, qz = batch
         x = Tensor(x_all[idx])
-        if cfg.method == "vanilla-vae":
-            return loss_vanilla_vae(x, model, noise_rng)
-        if cfg.method != "feddva":
+        if cfg.method not in ("feddva", "vanilla-vae"):
             return loss_fedavg_classifier(x, labels[idx], model)
+        if qz is None:
+            qz = model.encode_z(x)
+        if cfg.method == "vanilla-vae":
+            return loss_vanilla_vae(x, qz, model, noise_rng)
         if cfg.task == "classify":
-            return loss_classifier(x, labels[idx], model, shard.xi, cfg.alpha,
-                                   cfg.beta, cfg.gamma, noise_rng,
+            return loss_classifier(x, qz, labels[idx], model, shard.xi,
+                                   cfg.alpha, cfg.beta, cfg.gamma, noise_rng,
                                    frozen=cfg.classifier_frozen,
                                    latents=cfg.classifier_latents,
                                    n_samples=cfg.n_elbo_samples)
-        return loss_feddva(x, model, shard.xi, cfg.alpha, cfg.beta, noise_rng,
-                           n_samples=cfg.n_elbo_samples)
+        return loss_feddva(x, qz, model, shard.xi, cfg.alpha, cfg.beta,
+                           noise_rng, n_samples=cfg.n_elbo_samples)
 
-    records = two_phase_update(
+    records, seconds = two_phase_update(
         loss_fn, batch_stream, local, model.shared_parameters(), cfg.lr_eta,
         cfg.lr_lambda, cfg.epochs_per_phase if epochs is None else epochs)
-    return model.flatten_shared(), records
+    return model.flatten_shared(), records, seconds
 
 
 def _summarize(records: list[LossBreakdown], xi: float) -> dict:
@@ -253,13 +277,15 @@ def _update_clients(cfg, shards, round_idx, epochs, theta, tasks) -> list:
         start = time.perf_counter()
         try:
             shard.model.load_local(local)
-            shared, records = client_update(shard, theta, cfg, round_idx,
-                                            epochs=epochs)
+            shared, records, seconds = client_update(shard, theta, cfg,
+                                                     round_idx, epochs=epochs)
         except Exception as exc:
             raise ClientError(f"client {k} failed in round {round_idx}: "
                               f"{type(exc).__name__}: {exc}") from exc
         summary = _summarize(records, shard.xi)
         summary["update_s"] = time.perf_counter() - start
+        summary["phase1_s"] = seconds.get("local", 0.0)
+        summary["phase2_s"] = seconds.get("shared", 0.0)
         results.append((k, shared, shard.model.flatten_local(), summary))
     return results
 

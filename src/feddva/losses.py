@@ -13,6 +13,9 @@ The personalized objective combines three terms, all minimized:
 The hinge is an exact max; at a tie the subgradient follows the first
 branch. The slack KL(c to prior) - bound - xi is recorded per batch as
 the runtime constraint monitor.
+
+Every ELBO loss takes the batch's q(z|x) from its caller, so a caller
+whose z encoder is frozen can encode its data once and pass constant rows.
 """
 
 from __future__ import annotations
@@ -93,9 +96,10 @@ def hinge_max(first: Tensor, second: Tensor) -> Tensor:
     return first if first.item() >= second.item() else second
 
 
-def loss_vanilla_vae(x: Tensor, model, rng: np.random.Generator) -> LossBreakdown:
-    """Negative ELBO of the plain VAE: BCE + KL(q(z|x) || N(0, I))."""
-    qz = model.encode_z(x)
+def loss_vanilla_vae(x: Tensor, qz: gaussians.DiagGaussian, model,
+                     rng: np.random.Generator) -> LossBreakdown:
+    """Negative ELBO of the plain VAE: BCE + KL(q(z|x) || N(0, I)), with
+    qz the batch's q(z|x)."""
     z = gaussians.reparameterize(qz, rng)
     recon = bce_recon(model.decode(z), x)
     r_z = gaussians.kl_to_standard(qz)
@@ -103,19 +107,20 @@ def loss_vanilla_vae(x: Tensor, model, rng: np.random.Generator) -> LossBreakdow
     return LossBreakdown(total=total, recon=recon.item(), r_z=r_z.item())
 
 
-def loss_feddva(x: Tensor, model, xi: float, alpha: float, beta: float,
-                rng: np.random.Generator, n_samples: int = 1) -> LossBreakdown:
+def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
+                alpha: float, beta: float, rng: np.random.Generator,
+                n_samples: int = 1) -> LossBreakdown:
     """Client-specific negative ELBO with the hinge personalization penalty.
 
-    Needs batch >= 2: the mixture estimator is degenerate on one sample.
-    z and c are reparameterized (n_samples independent draws, averaged);
-    the cascade feeds the sampled z into the c encoder.
+    qz is the batch's q(z|x). Needs batch >= 2: the mixture estimator is
+    degenerate on one sample. z and c are reparameterized (n_samples
+    independent draws, averaged); the cascade feeds the sampled z into the
+    c encoder.
     """
     n = x.shape[0]
     if n < 2:
         raise ValueError("loss_feddva: batch size must be >= 2 so the batch "
                          "mixture has peers; got 1")
-    qz = model.encode_z(x)
     r_z = gaussians.kl_to_standard(qz)
 
     totals, recons, r_cs, klqcs, klmixes = [], [], [], [], []
@@ -151,17 +156,21 @@ def loss_feddva(x: Tensor, model, xi: float, alpha: float, beta: float,
     )
 
 
-def loss_classifier(x: Tensor, labels: np.ndarray, model, xi: float,
-                    alpha: float, beta: float, gamma: float,
+def loss_classifier(x: Tensor, qz: gaussians.DiagGaussian, labels: np.ndarray,
+                    model, xi: float, alpha: float, beta: float, gamma: float,
                     rng: np.random.Generator, frozen: bool = False,
                     latents: str = "both", n_samples: int = 1) -> LossBreakdown:
     """ELBO (n_samples draws) plus gamma-weighted cross-entropy on the
     posterior means.
 
-    frozen=True detaches the means so the CE gradient stops at the head.
+    The head reads the ELBO's mu_z and q(c|x, mu_z)'s mean, so it adds one
+    encode_c and no encode_z. frozen=True detaches the means so the CE
+    gradient stops at the head.
     """
-    breakdown = loss_feddva(x, model, xi, alpha, beta, rng, n_samples=n_samples)
-    z_mu, c_mu = model.posterior_means(x)
+    breakdown = loss_feddva(x, qz, model, xi, alpha, beta, rng,
+                            n_samples=n_samples)
+    z_mu = qz.mu
+    c_mu = model.encode_c(x, z_mu).mu
     if frozen:
         z_mu, c_mu = z_mu.detach(), c_mu.detach()
     ce = cross_entropy(model.classify(z_mu, c_mu, latents), labels)

@@ -6,6 +6,11 @@ concatenation of x and z. Each client owns a decoder g(z, c) that maps
 both latents back to pixel Bernoulli logits, and (in classifier mode) a
 local head over the two posterior means.
 
+A network over two inputs never concatenates them in the graph: its first
+dense layer reads both as parts of one input (``ad.linear``), so a part
+that takes no gradient, such as the pixels x in h, costs no
+input-gradient GEMM.
+
 Networks are dense MLPs. Trunk weights initialize uniform in
 ±1/sqrt(fan_in); the four posterior-head layers initialize to zero so
 every posterior starts exactly at N(0, I), which keeps the constraint
@@ -75,7 +80,8 @@ class ArchitectureConfig:
 
 
 class Dense:
-    """One affine layer: x @ W + b; zero weights when zero or rng is None."""
+    """One affine layer: x @ W + b, x given as one or more column parts;
+    zero weights when zero or rng is None."""
 
     def __init__(self, rng: np.random.Generator | None, fan_in: int,
                  fan_out: int, zero: bool = False):
@@ -89,8 +95,8 @@ class Dense:
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.w, self.b)
+    def __call__(self, *xs: Tensor) -> Tensor:
+        return ad.linear(*xs, self.w, self.b)
 
     @property
     def params(self) -> list[Tensor]:
@@ -98,17 +104,21 @@ class Dense:
 
 
 class Mlp:
-    """Dense stack with the activation applied after every layer."""
+    """Dense stack with the activation applied after every layer.
+
+    Maps input parts to the parts the next layer reads: one hidden tensor,
+    or the input parts themselves for a stack with no layers.
+    """
 
     def __init__(self, rng, dims: tuple[int, ...], activation: str):
         self.layers = [Dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
         self.act = ACTIVATIONS[activation]
         self.out_dim = dims[-1]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, *xs: Tensor) -> tuple[Tensor, ...]:
         for layer in self.layers:
-            x = self.act(layer(x))
-        return x
+            xs = (self.act(layer(*xs)),)
+        return xs
 
     @property
     def params(self) -> list[Tensor]:
@@ -201,21 +211,21 @@ class DvaModel(FederatedModel):
     def encode_z(self, x: Tensor) -> DiagGaussian:
         self._check_input(x)
         hid = self.f_trunk(x)
-        return DiagGaussian(self.z_mu(hid), self.z_lv(hid))
+        return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
 
     def encode_c(self, x: Tensor, z: Tensor) -> DiagGaussian:
         self._check_input(x)
         if z.shape != (x.shape[0], self.arch.d_z):
             raise ShapeError(f"encode_c: z shape {z.shape} does not align with "
                              f"x rows {x.shape[0]} and d_z {self.arch.d_z}")
-        hid = self.h_trunk(ad.concat_last(x, z))
-        return DiagGaussian(self.c_mu(hid), self.c_lv(hid))
+        hid = self.h_trunk(x, z)
+        return DiagGaussian(self.c_mu(*hid), self.c_lv(*hid))
 
     def decode(self, z: Tensor, c: Tensor) -> Tensor:
         """Pixel Bernoulli logits; sigmoid of them gives the means."""
         if z.shape[0] != c.shape[0]:
             raise ShapeError(f"decode: z rows {z.shape} vs c rows {c.shape}")
-        return self.dec_out(self.dec_trunk(ad.concat_last(z, c)))
+        return self.dec_out(*self.dec_trunk(z, c))
 
     def classify(self, z_mu: Tensor, c_mu: Tensor,
                  latents: str = "both") -> Tensor:
@@ -229,7 +239,7 @@ class DvaModel(FederatedModel):
             z_mu = Tensor(np.zeros_like(z_mu.data))
         elif latents != "both":
             raise ValueError(f"unknown latents mode {latents!r}")
-        return self.head_out(self.head(ad.concat_last(z_mu, c_mu)))
+        return self.head_out(*self.head(z_mu, c_mu))
 
     def posteriors(self, x: Tensor) -> tuple[DiagGaussian, DiagGaussian]:
         """Deterministic (q_z, q_c) pair; c is conditioned on mu_z."""
@@ -281,11 +291,11 @@ class VanillaVaeModel(FederatedModel):
     def encode_z(self, x: Tensor) -> DiagGaussian:
         self._check_input(x)
         hid = self.f_trunk(x)
-        return DiagGaussian(self.z_mu(hid), self.z_lv(hid))
+        return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
 
     def decode(self, z: Tensor) -> Tensor:
         """Pixel Bernoulli logits; sigmoid of them gives the means."""
-        return self.dec_out(self.dec_trunk(z))
+        return self.dec_out(*self.dec_trunk(z))
 
     def shared_parameters(self) -> list[Tensor]:
         return self.f_trunk.params + self.z_mu.params + self.z_lv.params
@@ -307,7 +317,7 @@ class PixelClassifier(FederatedModel):
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
         self._check_input(x)
-        return self.out(self.trunk(x))
+        return self.out(*self.trunk(x))
 
     def shared_parameters(self) -> list[Tensor]:
         return self.trunk.params + self.out.params

@@ -54,7 +54,9 @@ def _grad_ok(loss_fn, params, tol=1e-4):
 
 
 # operand shapes of one sample input per op kind, for every finite-difference
-# sweep over OP_TABLE; unequal dims so a transposed VJP cannot conform
+# sweep over OP_TABLE; unequal dims so a transposed VJP cannot conform.
+# linear takes its input in two column parts, as the model's two-input
+# layers do
 OP_SAMPLE_SHAPES: dict[str, list[tuple[int, int]]] = {
     "matmul": [(2, 3), (3, 4)],
     "add": [(2, 3)] * 2,
@@ -71,7 +73,7 @@ OP_SAMPLE_SHAPES: dict[str, list[tuple[int, int]]] = {
     "concat-last-axis": [(2, 3), (2, 2)],
     "broadcast-add-row": [(4, 3), (1, 3)],
     "transpose": [(3, 2)],
-    "linear": [(4, 3), (3, 2), (1, 2)],
+    "linear": [(4, 3), (4, 2), (5, 2), (1, 2)],
     "bce-logits": [(3, 4)] * 2,
 }
 
@@ -107,8 +109,8 @@ def check_loss_gradient():
     x = Tensor(rng.uniform(0, 1, (3, 4)))
 
     def fn():
-        return loss_feddva(x, model, xi=0.6, alpha=1.0, beta=0.75,
-                           rng=np.random.default_rng(11)).total
+        return loss_feddva(x, model.encode_z(x), model, xi=0.6, alpha=1.0,
+                           beta=0.75, rng=np.random.default_rng(11)).total
 
     return _grad_ok(fn, model.all_parameters())
 

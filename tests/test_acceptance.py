@@ -140,7 +140,8 @@ def test_criterion_1_gradient_correctness():
         for layer in (model.z_mu, model.z_lv, model.c_mu, model.c_lv):
             layer.w.data = rng.uniform(-0.4, 0.4, layer.w.data.shape)
         x = Tensor(rng.uniform(0, 1, (3, 4)))
-        fn = lambda: loss_feddva(x, model, xi=0.6, alpha=1.0, beta=0.75,
+        fn = lambda: loss_feddva(x, model.encode_z(x), model, xi=0.6,
+                                 alpha=1.0, beta=0.75,
                                  rng=np.random.default_rng(77 + i)).total
         err, ok = grad_check(fn, model.all_parameters(), h=1e-4, tol=1e-4)
         assert ok, f"loss instance {i}: rel err {err}"
@@ -234,7 +235,7 @@ def test_criterion_4_federation_algebra():
     state = init_run(cfg)
     updates, hashes = {}, {}
     for s in state.shards:
-        theta_k, _ = client_update(s, state.theta, cfg, 1)
+        theta_k, _, _ = client_update(s, state.theta, cfg, 1)
         updates[s.id] = theta_k
         hashes[s.id] = s.model.flatten_local().tobytes()
     aggregate(updates, {s.id: s.weight for s in state.shards})

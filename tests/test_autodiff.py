@@ -243,6 +243,41 @@ def test_linear_equals_matmul_plus_row_bitwise():
     assert run(fused=True) == run(fused=False)
 
 
+def test_linear_over_parts_equals_concat_then_linear():
+    # forward, w and b gradients bitwise; a frozen part gets no gradient and
+    # the others match the concat path's column blocks
+    rng = np.random.default_rng(23)
+    arrays = [rng.uniform(-1, 1, s)
+              for s in ((5, 4), (5, 2), (5, 3), (9, 6), (1, 6))]
+
+    def run(parts):
+        xs = [Tensor(a.copy(), requires_grad=i != 1)
+              for i, a in enumerate(arrays[:3])]
+        w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays[3:])
+        out = (ad.linear(*xs, w, b) if parts
+               else ad.linear(ad.concat_last(ad.concat_last(xs[0], xs[1]),
+                                             xs[2]), w, b))
+        backward(ad.sum_all(ad.square(ad.tanh(out))))
+        return out.data, xs, w.grad, b.grad
+
+    out, xs, gw, gb = run(parts=True)
+    ref_out, ref_xs, ref_gw, ref_gb = run(parts=False)
+    assert out.tobytes() == ref_out.tobytes()
+    assert gw.tobytes() == ref_gw.tobytes() and gb.tobytes() == ref_gb.tobytes()
+    assert xs[1].grad is None and ref_xs[1].grad is None
+    for x, ref in zip(xs, ref_xs):
+        if x.requires_grad:
+            assert np.allclose(x.grad, ref.grad, rtol=1e-13, atol=0.0)
+
+
+def test_linear_over_parts_rejects_misaligned_parts():
+    w, b = Tensor(np.zeros((5, 2))), Tensor(np.zeros((1, 2)))
+    with pytest.raises(ShapeError, match=r"linear.*\(2, 3\) \| \(3, 2\)"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), w, b)
+    with pytest.raises(ShapeError, match=r"linear.*\(2, 3\) \| \(2, 1\)"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1))), w, b)
+
+
 def test_linear_shape_errors_name_linear():
     x = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match=r"linear.*\(2, 3\).*\(4, 2\)"):

@@ -214,13 +214,15 @@ def test_train_writes_history_and_manifest(tmp_path):
 
 
 def _history_without_walltime(path):
-    """History rows without their timing fields (wall_time, update_s)."""
+    """History rows without their timing fields (wall_time, update_s,
+    phase1_s, phase2_s)."""
     rows = []
     for line in Path(path).read_text().strip().splitlines():
         d = json.loads(line)
         d.pop("wall_time")
         for stats in d["clients"].values():
-            stats.pop("update_s")
+            for key in ("update_s", "phase1_s", "phase2_s"):
+                stats.pop(key)
         rows.append(d)
     return rows
 
@@ -528,6 +530,24 @@ def test_eval_rejects_checkpoint_of_the_wrong_kind(tmp_path):
     save_checkpoint(ckpt / "client_001.ckpt", "shared", arch, local)
     with pytest.raises(ConfigError, match="client_001.ckpt.*'shared'"):
         cmd_eval(cfg)
+
+
+def test_eval_exits_2_on_a_checkpoint_header_missing_a_key(tmp_path, capsys):
+    out = tmp_path / "run"
+    cmd_train(load_config(write_cfg(
+        tmp_path, FAST.replace("rounds = 3", "rounds = 1")
+        + f"output_dir = {out}\n")))
+    path = out / "checkpoints" / "round_00001" / "shared.ckpt"
+    raw = path.read_bytes()
+    # drop the hidden_dims item; the header-length field shrinks to match
+    item = b"hidden_dims=12;"
+    header_len = int.from_bytes(raw[5:9], "little") - len(item)
+    path.write_bytes(raw[:5] + header_len.to_bytes(4, "little")
+                     + raw[9:].replace(item, b"", 1))
+    assert main(["eval", "--output_dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed header at byte 9" in err
+    assert "hidden_dims" in err
 
 
 def _train_fast(tmp_path, name, rounds):

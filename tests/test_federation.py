@@ -9,6 +9,7 @@ from feddva.config import ExperimentConfig
 from feddva.federation import (aggregate, blank_run, client_update,
                                init_run, iter_batches, run_experiment,
                                run_rounds, sample_clients, two_phase_update)
+from feddva.model import DvaModel
 from feddva.seeding import make_rng
 
 
@@ -177,7 +178,8 @@ def test_two_phase_freezes_the_group_it_does_not_step():
     def stream(phase, epoch):
         yield phase
 
-    records = two_phase_update(loss_fn, stream, local, shared, 0.01, 0.01, 2)
+    records, _ = two_phase_update(loss_fn, stream, local, shared, 0.01, 0.01,
+                                  2)
     assert seen == [("local", [True] * 2, [False] * 3)] * 2 + \
         [("shared", [False] * 2, [True] * 3)] * 2
     assert all(p.requires_grad for p in local + shared)
@@ -210,7 +212,7 @@ def test_two_phase_skips_a_phase_with_an_empty_group():
         phases.append((phase, epoch))
         yield 0
 
-    records = two_phase_update(lambda _: ad.square(a), stream, [], [a],
+    records, _ = two_phase_update(lambda _: ad.square(a), stream, [], [a],
                                0.1, 0.1, 3)
     assert phases == [("shared", 0), ("shared", 1), ("shared", 2)]
     assert len(records) == 3
@@ -235,7 +237,7 @@ def test_fedavg_client_runs_one_loss_per_batch(monkeypatch):
         return loss(*args, **kwargs)
 
     monkeypatch.setattr(federation, "loss_fedavg_classifier", counted)
-    _, records = client_update(shard, state.theta, cfg, 1)
+    _, records, _ = client_update(shard, state.theta, cfg, 1)
     batches = len(list(iter_batches(shard.n, cfg.batch_size,
                                     np.random.default_rng(0))))
     assert len(calls) == len(records) == cfg.epochs_per_phase * batches
@@ -268,14 +270,14 @@ def test_classify_client_update_uses_elbo_sample_count():
 def test_client_update_records_hold_no_graph():
     cfg = small_cfg()
     state = init_run(cfg)
-    _, records = client_update(state.shards[0], state.theta, cfg, 1)
+    _, records, _ = client_update(state.shards[0], state.theta, cfg, 1)
     assert records
     for r in records:
         assert r.total.op == "leaf" and not r.total.parents
         assert not r.total.requires_grad and np.isfinite(r.total.item())
     cfg_fedavg = small_cfg(task="classify", method="fedavg")
     state = init_run(cfg_fedavg)
-    _, records = client_update(state.shards[0], state.theta, cfg_fedavg, 1)
+    _, records, _ = client_update(state.shards[0], state.theta, cfg_fedavg, 1)
     assert records and all(r.total.op == "leaf" for r in records)
 
 
@@ -284,7 +286,7 @@ def test_client_update_zero_lrs_are_noop():
     state = init_run(cfg)
     shard = state.shards[0]
     phi_before = shard.model.flatten_local().copy()
-    theta_out, _ = client_update(shard, state.theta, cfg, round_idx=1)
+    theta_out, _, _ = client_update(shard, state.theta, cfg, round_idx=1)
     assert np.array_equal(theta_out, state.theta)
     assert np.array_equal(shard.model.flatten_local(), phi_before)
 
@@ -299,16 +301,50 @@ def test_client_update_phase_freezing():
 
     # phase 1 only: force lr_lambda = 0 so theta cannot move
     cfg1 = small_cfg(lr_lambda=0.0)
-    theta_out, _ = client_update(shard, state.theta, cfg1, 1)
+    theta_out, _, _ = client_update(shard, state.theta, cfg1, 1)
     assert theta_out.tobytes() == theta_hash_in
     assert model.flatten_local().tobytes() != phi_in
 
     # phase 2 only: lr_eta = 0 freezes phi
     phi_mid = model.flatten_local().tobytes()
     cfg2 = small_cfg(lr_eta=0.0)
-    theta_out2, _ = client_update(shard, state.theta, cfg2, 2)
+    theta_out2, _, _ = client_update(shard, state.theta, cfg2, 2)
     assert model.flatten_local().tobytes() == phi_mid
     assert theta_out2.tobytes() != theta_hash_in
+
+
+@pytest.mark.parametrize("task", ["reconstruct", "classify"])
+def test_client_update_encodes_z_once_per_phase_2_batch(monkeypatch, task):
+    # phase 1 encodes the shard once under the frozen encoders; each phase-2
+    # batch encodes itself once, and the classifier head reuses that q(z|x)
+    cfg = small_cfg(task=task, epochs_per_phase=3, partition="label-skew")
+    state = init_run(cfg)
+    shard = state.shards[0]
+    calls = []
+    encode_z = DvaModel.encode_z
+
+    def counted(model, x):
+        calls.append(x.shape[0])
+        return encode_z(model, x)
+
+    monkeypatch.setattr(DvaModel, "encode_z", counted)
+    _, records, _ = client_update(shard, state.theta, cfg, 1)
+    batches = len(list(iter_batches(shard.n, cfg.batch_size,
+                                    np.random.default_rng(0))))
+    assert len(records) == cfg.epochs_per_phase * batches
+    assert len(calls) == cfg.epochs_per_phase * batches + 1
+    assert calls[0] == shard.n
+
+
+def test_history_times_each_phase():
+    for over, phase1_ran in ((dict(), True),
+                             (dict(task="classify", method="fedavg",
+                                   partition="label-skew"), False)):
+        state = run_experiment(small_cfg(rounds=1, **over))
+        for stats in state.history[0].clients.values():
+            assert stats["phase2_s"] > 0.0
+            assert (stats["phase1_s"] > 0.0) == phase1_ran
+            assert stats["phase1_s"] + stats["phase2_s"] <= stats["update_s"]
 
 
 def test_decoder_persists_across_rounds_and_aggregation():
@@ -356,7 +392,7 @@ def test_single_client_equals_centralized_two_phase():
     shard_copy = init_run(cfg).shards[0]
     theta_in = state.theta.copy()
     run_rounds(cfg, state)
-    theta_k, _ = client_update(shard_copy, theta_in, cfg, round_idx=1)
+    theta_k, _, _ = client_update(shard_copy, theta_in, cfg, round_idx=1)
     assert state.theta.tobytes() == theta_k.tobytes()
 
 
@@ -405,7 +441,7 @@ def test_fedavg_single_client_is_centralized():
                     partition="label-skew", d_z=2, d_c=2)
     state = run_experiment(cfg)
     fresh = init_run(cfg)
-    theta_k, _ = client_update(fresh.shards[0], fresh.theta, cfg, 1)
+    theta_k, _, _ = client_update(fresh.shards[0], fresh.theta, cfg, 1)
     assert state.theta.tobytes() == theta_k.tobytes()
 
 

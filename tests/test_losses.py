@@ -107,15 +107,17 @@ def test_cross_entropy_grad_check():
 
 def test_feddva_rejects_batch_of_one():
     m = tiny_model()
+    x = tiny_batch(n=1)
     with pytest.raises(ValueError, match="batch size must be >= 2"):
-        loss_feddva(tiny_batch(n=1), m, xi=1.0, alpha=1.0, beta=1.0,
+        loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=1.0,
                     rng=np.random.default_rng(0))
 
 
 def test_feddva_breakdown_identity():
     m = tiny_model(seed=2)
     alpha, beta, xi = 0.7, 0.4, 1.3
-    b = loss_feddva(tiny_batch(n=4), m, xi, alpha, beta,
+    x = tiny_batch(n=4)
+    b = loss_feddva(x, m.encode_z(x), m, xi, alpha, beta,
                     np.random.default_rng(5))
     assert b.total.item() == pytest.approx(
         b.recon + alpha * b.r_z + beta * b.r_c, rel=1e-12)
@@ -126,7 +128,8 @@ def test_feddva_breakdown_identity():
 
 def test_feddva_zero_weights_leave_recon():
     m = tiny_model(seed=3)
-    b = loss_feddva(tiny_batch(n=3), m, xi=2.0, alpha=0.0, beta=0.0,
+    x = tiny_batch(n=3)
+    b = loss_feddva(x, m.encode_z(x), m, xi=2.0, alpha=0.0, beta=0.0,
                     rng=np.random.default_rng(6))
     assert b.total.item() == pytest.approx(b.recon, rel=1e-12)
 
@@ -138,7 +141,8 @@ def test_feddva_satisfied_constraint_selects_kl_branch():
     for layer in (m.c_mu, m.c_lv):
         layer.w.data[:] = 0.0
         layer.b.data[:] = 0.6
-    b = loss_feddva(tiny_batch(n=4), m, xi=0.0, alpha=1.0, beta=1.0,
+    x = tiny_batch(n=4)
+    b = loss_feddva(x, m.encode_z(x), m, xi=0.0, alpha=1.0, beta=1.0,
                     rng=np.random.default_rng(7))
     assert b.kl_c_to_mixture == pytest.approx(0.0, abs=1e-12)
     assert b.r_c == pytest.approx(b.kl_c_to_qc)
@@ -151,7 +155,8 @@ def test_feddva_identical_posteriors_hinge_floor():
         layer.w.data[:] = 0.0
         layer.b.data[:] = 0.2
     xi = 50.0
-    b = loss_feddva(tiny_batch(n=4), m, xi=xi, alpha=1.0, beta=1.0,
+    x = tiny_batch(n=4)
+    b = loss_feddva(x, m.encode_z(x), m, xi=xi, alpha=1.0, beta=1.0,
                     rng=np.random.default_rng(8))
     assert b.r_c == pytest.approx(max(xi, b.kl_c_to_qc)) == pytest.approx(xi)
 
@@ -161,14 +166,15 @@ def test_vanilla_kl_term_delegates():
     rng = np.random.default_rng(1)
     m.z_mu.w.data = rng.uniform(-0.5, 0.5, m.z_mu.w.data.shape)
     x = tiny_batch(n=4)
-    b = loss_vanilla_vae(x, m, np.random.default_rng(2))
+    b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(2))
     assert b.r_z == pytest.approx(kl_to_standard(m.encode_z(x)).item(), rel=1e-12)
 
 
 def test_vanilla_zero_kl_means_total_is_recon():
     m = VanillaVaeModel(TINY, np.random.default_rng(3))
     # zero heads are the init default: posterior exactly N(0, I)
-    b = loss_vanilla_vae(tiny_batch(n=3), m, np.random.default_rng(4))
+    x = tiny_batch(n=3)
+    b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(4))
     assert b.r_z == 0.0
     assert b.total.item() == pytest.approx(b.recon, rel=1e-12)
 
@@ -177,9 +183,9 @@ def test_classifier_gamma_zero_reduces_to_feddva():
     m = tiny_model(seed=5)
     x = tiny_batch(n=4)
     labels = np.array([0, 1, 2, 0])
-    b = loss_classifier(x, labels, m, xi=1.0, alpha=1.0, beta=0.5, gamma=0.0,
-                        rng=np.random.default_rng(9))
-    ref = loss_feddva(x, m, xi=1.0, alpha=1.0, beta=0.5,
+    b = loss_classifier(x, m.encode_z(x), labels, m, xi=1.0, alpha=1.0,
+                        beta=0.5, gamma=0.0, rng=np.random.default_rng(9))
+    ref = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
                       rng=np.random.default_rng(9))
     assert b.total.item() == pytest.approx(ref.total.item(), rel=1e-12)
 
@@ -188,11 +194,12 @@ def test_classifier_passes_sample_count_to_elbo():
     m = tiny_model(seed=5)
     x = tiny_batch(n=4)
     labels = np.array([0, 1, 2, 0])
-    b = loss_classifier(x, labels, m, xi=1.0, alpha=1.0, beta=0.5, gamma=0.0,
-                        rng=np.random.default_rng(9), n_samples=2)
-    ref = loss_feddva(x, m, xi=1.0, alpha=1.0, beta=0.5,
+    b = loss_classifier(x, m.encode_z(x), labels, m, xi=1.0, alpha=1.0,
+                        beta=0.5, gamma=0.0, rng=np.random.default_rng(9),
+                        n_samples=2)
+    ref = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
                       rng=np.random.default_rng(9), n_samples=2)
-    one = loss_feddva(x, m, xi=1.0, alpha=1.0, beta=0.5,
+    one = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
                       rng=np.random.default_rng(9))
     assert b.total.item() == pytest.approx(ref.total.item(), rel=1e-12)
     assert b.total.item() != pytest.approx(one.total.item(), rel=1e-6)
@@ -203,16 +210,18 @@ def test_classifier_frozen_mode_keeps_encoder_ce_free():
     x = tiny_batch(n=4)
     labels = np.array([0, 1, 2, 0])
     # gamma-only loss: frozen mode must leave encoder grads at zero
-    b = loss_classifier(x, labels, m, xi=0.0, alpha=0.0, beta=0.0, gamma=1.0,
-                        rng=np.random.default_rng(10), frozen=True)
+    b = loss_classifier(x, m.encode_z(x), labels, m, xi=0.0, alpha=0.0,
+                        beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
+                        frozen=True)
     m.zero_grad()
     backward(b.total)
     head_grads = [p.grad for p in m.head.params + m.head_out.params]
     assert any(g is not None and np.abs(g).max() > 0 for g in head_grads)
     # encoder grads exist only via the recon term; compare against unfrozen
     m2 = tiny_model(seed=6)
-    b2 = loss_classifier(x, labels, m2, xi=0.0, alpha=0.0, beta=0.0, gamma=1.0,
-                         rng=np.random.default_rng(10), frozen=False)
+    b2 = loss_classifier(x, m2.encode_z(x), labels, m2, xi=0.0, alpha=0.0,
+                         beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
+                         frozen=False)
     m2.zero_grad()
     backward(b2.total)
     g_frozen = np.concatenate([p.grad.reshape(-1) for p in m.shared_parameters()])
@@ -226,7 +235,7 @@ def test_full_loss_gradient_completeness():
     x = tiny_batch(seed=8, n=3)
 
     def fn():
-        return loss_feddva(x, m, xi=0.7, alpha=1.0, beta=0.75,
+        return loss_feddva(x, m.encode_z(x), m, xi=0.7, alpha=1.0, beta=0.75,
                            rng=np.random.default_rng(123)).total
 
     err, ok = grad_check(fn, m.all_parameters())
@@ -239,8 +248,9 @@ def test_classifier_loss_gradient_completeness():
     labels = np.array([0, 1, 2])
 
     def fn():
-        return loss_classifier(x, labels, m, xi=0.4, alpha=1.0, beta=0.75,
-                               gamma=1.0, rng=np.random.default_rng(99)).total
+        return loss_classifier(x, m.encode_z(x), labels, m, xi=0.4, alpha=1.0,
+                               beta=0.75, gamma=1.0,
+                               rng=np.random.default_rng(99)).total
 
     err, ok = grad_check(fn, m.all_parameters())
     assert ok, f"max rel err {err}"
@@ -249,14 +259,15 @@ def test_classifier_loss_gradient_completeness():
 def test_single_sample_estimator_unbiased_in_recon():
     m = tiny_model(seed=11)
     x = tiny_batch(seed=12, n=4)
+    qz = m.encode_z(x)
     master = np.random.default_rng(2024)
     draws = np.array([
-        loss_feddva(x, m, xi=0.5, alpha=1.0, beta=0.5, rng=master).recon
+        loss_feddva(x, qz, m, xi=0.5, alpha=1.0, beta=0.5, rng=master).recon
         for _ in range(10**4)
     ])
     ref_rng = np.random.default_rng(777)
     ref = np.array([
-        loss_feddva(x, m, xi=0.5, alpha=1.0, beta=0.5, rng=ref_rng).recon
+        loss_feddva(x, qz, m, xi=0.5, alpha=1.0, beta=0.5, rng=ref_rng).recon
         for _ in range(10**5)
     ])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -271,20 +282,20 @@ def test_vanilla_training_smoke_loss_decreases():
     data = np.random.default_rng(1).uniform(0, 1, (32, 16)) > 0.5
     x = Tensor(data.astype(float))
     rng = np.random.default_rng(2)
-    first = loss_vanilla_vae(x, m, rng).total.item()
+    first = loss_vanilla_vae(x, m.encode_z(x), m, rng).total.item()
     for _ in range(200):
-        b = loss_vanilla_vae(x, m, rng)
+        b = loss_vanilla_vae(x, m.encode_z(x), m, rng)
         backward(b.total)
         sgd_step(m.all_parameters(), 0.05)
         m.zero_grad()
-    last = loss_vanilla_vae(x, m, np.random.default_rng(3))
+    last = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(3))
     assert last.total.item() < first
 
 
 def test_multi_sample_estimator_averages():
     m = tiny_model(seed=13)
     x = tiny_batch(seed=14, n=3)
-    b = loss_feddva(x, m, xi=0.5, alpha=1.0, beta=0.5,
+    b = loss_feddva(x, m.encode_z(x), m, xi=0.5, alpha=1.0, beta=0.5,
                     rng=np.random.default_rng(0), n_samples=4)
     assert np.isfinite(b.total.item())
     assert b.total.item() == pytest.approx(

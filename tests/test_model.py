@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward
-from feddva.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from feddva.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
+                               save_checkpoint)
 from feddva.gaussians import kl_to_standard
 from feddva.config import METHODS
 from feddva.model import (MODEL_CLASS, ArchitectureConfig, DvaModel,
@@ -197,6 +200,35 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="bad magic at byte 0"):
         load_checkpoint(path)
+
+
+def write_raw_checkpoint(path, header: bytes, flat: np.ndarray) -> None:
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                     + struct.pack("<Q", flat.size)
+                     + flat.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("header,detail", [
+    pytest.param(b"kind=shared", "architecture", id="no-architecture-line"),
+    pytest.param(b"shared\n" + ARCH.canonical_text().encode(), "kind=",
+                 id="no-kind"),
+    pytest.param(b"kind=shared\n" + ARCH.canonical_text().replace(
+        "hidden_dims=8;", "").encode(), "missing key 'hidden_dims'",
+                 id="missing-key"),
+    pytest.param(b"kind=shared\nd_z=3", "input_dim", id="one-key"),
+    pytest.param(b"kind=shared\n" + ARCH.canonical_text().replace(
+        "d_z=3", "d_z=x").encode(), "invalid literal", id="bad-value"),
+    pytest.param(b"kind=shared\n\xff", "utf-8", id="not-utf-8"),
+])
+def test_checkpoint_malformed_header_names_file_and_offset(tmp_path, header,
+                                                          detail):
+    path = tmp_path / "h.ckpt"
+    write_raw_checkpoint(path, header, np.zeros(3))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: malformed header at byte 9")
+    assert detail in message
 
 
 def test_checkpoint_truncation(tmp_path):
