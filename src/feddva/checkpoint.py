@@ -3,7 +3,7 @@
 Layout:  magic "DVAC\\x01"  |  uint32 LE header length  |  header utf-8
          |  uint64 LE parameter count  |  count * float64 LE payload
 
-The header is two lines: "kind=<shared|local|full>" and the architecture
+The header is two lines: "kind=<shared|local>" and the architecture
 config's canonical text. Loads validate magic, header, and payload length
 and report the byte offset of the first problem.
 """

@@ -278,21 +278,18 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_dir: str | None = None) -> int:
     eval_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.method == "feddva":
-        # the shared encoders are identical: encode each shard once
-        codes = encode_shards(state.shards[0].model, state.shards)
+        codes = encode_shards(state.shards)
         report = clustering_report(codes, xi=cfg.xi_value(), seed=cfg.seed)
         write_report_json(report, eval_dir / "report.json")
         export_embeddings_csv(codes, eval_dir / "embeddings.csv")
         for s, code in zip(state.shards, codes):
-            grid = latent_traversal(s.model, code, s.images.shape[1:],
-                                    anchor=0, steps=cfg.traversal_steps,
+            grid = latent_traversal(s, code, anchor=0,
+                                    steps=cfg.traversal_steps,
                                     span=cfg.traversal_span)
             export_grid_image(grid, eval_dir / f"traversal_client{s.id:03d}.pgm")
 
     if cfg.task == "classify":
-        models = {s.id: s.model for s in state.shards}
-        accs, mean, std = accuracy_per_client(models, state.shards,
-                                              split="held-out",
+        accs, mean, std = accuracy_per_client(state.shards,
                                               latents=cfg.classifier_latents)
         export_accuracy_csv(accs, mean, std, eval_dir / "accuracy.csv")
         print(f"eval: held-out accuracy mean={mean:.4f} std={std:.4f}")

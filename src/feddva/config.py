@@ -1,19 +1,22 @@
 """Flat key-value experiment configuration.
 
-One ``key = value`` per line, '#' comments, unknown keys rejected by
-name. Unset keys fall back to the full-scale defaults: batch 256,
-learning rates 0.001, 200 rounds of 5 epochs per phase, alpha 1,
-beta 0.75, xi of 8 per c dimension, and latent dims 4 for reconstruction
-or 8 for classification. A resolved config round-trips through its text
+One ``key = value`` per line, '#' comments, unknown or repeated keys
+rejected by name; every float key must be finite and >= 0. Unset keys
+fall back to the full-scale defaults: batch 256, learning rates 0.001,
+200 rounds of 5 epochs per phase, alpha 1, beta 0.75, xi of 8 per c
+dimension, and latent dims 4 for reconstruction or 8 for
+classification. A resolved config round-trips through its text
 form losslessly: validate rejects the free-text values (TEXT_KEYS) that the
 text could not carry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .data import MIN_PER_CLIENT, TOY_MAX_CLASSES, TOY_MIN_SIDE
+from .model import ACTIVATIONS
 
 TASKS = ("reconstruct", "classify")
 METHODS = ("feddva", "fedavg", "fedavg-ft", "vanilla-vae")
@@ -87,6 +90,9 @@ class ExperimentConfig:
              f"must be one of {PARTITIONS}")
         need(self.classifier_latents in LATENT_MODES, "classifier_latents",
              f"must be one of {LATENT_MODES}")
+        need(self.activation in ACTIVATIONS, "activation",
+             f"must be one of {tuple(ACTIVATIONS)}")
+        need(self.seed >= 0, "seed", "must be >= 0")
         need(self.K >= 1, "K", "must be >= 1")
         need(self.d_z >= 1, "d_z", "must be >= 1")
         need(self.d_c >= 1, "d_c", "must be >= 1")
@@ -95,13 +101,13 @@ class ExperimentConfig:
         need(self.epochs_per_phase >= 1, "epochs_per_phase", "must be >= 1")
         need(self.ft_epochs >= 0, "ft_epochs", "must be >= 0")
         need(self.batch_size >= 2, "batch_size", "must be >= 2")
-        for key in ("lr_eta", "lr_lambda"):
-            need(getattr(self, key) >= 0, key, "must be >= 0")
-        for key in ("alpha", "beta", "gamma", "xi_per_dim", "xi_scale",
-                    "traversal_span"):
-            need(getattr(self, key) >= 0, key, "must be >= 0")
         need(self.concentration > 0, "concentration", "must be > 0")
         need(0 <= self.holdout_frac < 1, "holdout_frac", "must be in [0, 1)")
+        for f in fields(self):
+            if f.type == "float":
+                value = getattr(self, f.name)
+                need(math.isfinite(value) and value >= 0, f.name,
+                     f"must be finite and >= 0, got {value!r}")
         need(self.n_elbo_samples >= 1, "n_elbo_samples", "must be >= 1")
         need(self.eval_every >= 1, "eval_every", "must be >= 1")
         need(self.checkpoint_every >= 1, "checkpoint_every", "must be >= 1")
@@ -171,7 +177,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config key '{key}': cannot parse "
                                   f"{val!r} ({exc})") from None
 
-        values = {}
+        values, seen = {}, {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -182,6 +188,10 @@ class ExperimentConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"line {lineno}: unknown config key '{key}'")
+            if key in seen:
+                raise ConfigError(f"line {lineno}: config key '{key}' "
+                                  f"repeats line {seen[key]}")
+            seen[key] = lineno
             values[key] = parse(key, val)
         for key, val in (overrides or {}).items():
             values[key] = parse(key, val)

@@ -73,7 +73,6 @@ class ClientShard:
     holdout_images: np.ndarray
     holdout_labels: np.ndarray
     weight: float = 0.0
-    xi: float = 0.0
     mark: MarkSpec | None = None
     model: object | None = None  # persistent local decoder/head state
 

@@ -75,7 +75,6 @@ class ServerState:
     round: int
     shards: list[ClientShard]
     arch: ArchitectureConfig
-    method: str
     history: list[RoundRecord] = field(default_factory=list)
     plan: object | None = None
 
@@ -210,12 +209,12 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
         if cfg.method == "vanilla-vae":
             return loss_vanilla_vae(x, qz, model, noise_rng)
         if cfg.task == "classify":
-            return loss_classifier(x, qz, labels[idx], model, shard.xi,
+            return loss_classifier(x, qz, labels[idx], model, cfg.xi_value(),
                                    cfg.alpha, cfg.beta, cfg.gamma, noise_rng,
                                    frozen=cfg.classifier_frozen,
                                    latents=cfg.classifier_latents,
                                    n_samples=cfg.n_elbo_samples)
-        return loss_feddva(x, qz, model, shard.xi, cfg.alpha, cfg.beta,
+        return loss_feddva(x, qz, model, cfg.xi_value(), cfg.alpha, cfg.beta,
                            noise_rng, n_samples=cfg.n_elbo_samples)
 
     records, seconds = two_phase_update(
@@ -282,7 +281,7 @@ def _update_clients(cfg, shards, round_idx, epochs, theta, tasks) -> list:
         except Exception as exc:
             raise ClientError(f"client {k} failed in round {round_idx}: "
                               f"{type(exc).__name__}: {exc}") from exc
-        summary = _summarize(records, shard.xi)
+        summary = _summarize(records, cfg.xi_value())
         summary["update_s"] = time.perf_counter() - start
         summary["phase1_s"] = seconds.get("local", 0.0)
         summary["phase2_s"] = seconds.get("shared", 0.0)
@@ -432,8 +431,6 @@ def build_shards(cfg, ds: Dataset):
                                             holdout_frac=cfg.holdout_frac)
     else:
         raise ValueError(f"unknown partition {cfg.partition!r}")
-    for s in shards:
-        s.xi = cfg.xi_value()
     return shards, plan
 
 
@@ -458,7 +455,7 @@ def _build_run(cfg, model_rng) -> ServerState:
     shared = shards[0].model.shared_parameters()
     theta = np.zeros(sum(p.data.size for p in shared))
     return ServerState(theta=theta, round=0, shards=shards, arch=arch,
-                       method=cfg.method, plan=plan)
+                       plan=plan)
 
 
 def init_run(cfg) -> ServerState:
@@ -497,8 +494,7 @@ def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
                     shard = state.shards[k]
                     shard.model.load_shared(state.theta)
                     client_stats[k]["accuracy"] = (
-                        accuracy(shard.model, shard.flat_holdout(),
-                                 shard.holdout_labels, cfg.classifier_latents)
+                        accuracy(shard, cfg.classifier_latents)
                         if shard.holdout_images.shape[0] else None)
             record = RoundRecord(round=r, sampled=sampled,
                                  clients=client_stats,

@@ -3,7 +3,8 @@
 Everything here reads posterior means only, so accuracy and separation
 ratios are deterministic. The one sampled quantity, the Monte-Carlo KL of
 each client's c-posterior mixture against N(0, I), draws from a fixed
-derived seed and is therefore reproducible byte for byte. encode_shards
+derived seed and is therefore reproducible byte for byte. Each function
+given a shard scores it with the model the shard holds. encode_shards
 encodes each shard once; the report, the embeddings and the traversals
 read its arrays and run no encoder themselves.
 
@@ -68,20 +69,14 @@ class ShardCodes:
     c_log_var: np.ndarray
 
 
-def encode_shards(model, shards: list[ClientShard]) -> list[ShardCodes]:
-    """The ShardCodes of each shard under model's shared encoders."""
+def encode_shards(shards: list[ClientShard]) -> list[ShardCodes]:
+    """The ShardCodes of each shard under its model's shared encoders."""
     codes = []
     for shard in shards:
-        qz, qc = model.posteriors(Tensor(shard.flat_images()))
+        qz, qc = shard.model.posteriors(Tensor(shard.flat_images()))
         codes.append(ShardCodes(shard.id, qz.mu.data, qc.mu.data,
                                 qc.log_var.data))
     return codes
-
-
-@dataclass
-class TraversalGrid:
-    images: np.ndarray  # [steps_z, steps_c, H, W]
-    anchor: int
 
 
 def _principal_axis(points: np.ndarray) -> np.ndarray:
@@ -91,10 +86,10 @@ def _principal_axis(points: np.ndarray) -> np.ndarray:
     return vecs[:, -1]
 
 
-def latent_traversal(model, code: ShardCodes, shape: tuple[int, int],
-                     anchor: int, steps: int, span: float) -> TraversalGrid:
-    """Grid of [height, width] = shape decodes by model: rows sweep z,
-    columns sweep c around the anchor.
+def latent_traversal(shard: ClientShard, code: ShardCodes, anchor: int,
+                     steps: int, span: float) -> np.ndarray:
+    """[steps, steps, H, W] grid of decodes by shard.model, each the shape
+    of a shard image: rows sweep z, columns sweep c around the anchor.
 
     Sweeps run along the top principal axis of the shard's posterior means
     (the first coordinate axis for a one-sample shard); the center cell is
@@ -114,15 +109,14 @@ def latent_traversal(model, code: ShardCodes, shape: tuple[int, int],
         dir_z = np.eye(z_mu.shape[1])[0]
         dir_c = np.eye(c_mu.shape[1])[0]
     offsets = np.linspace(-span, span, steps) if steps > 1 else np.zeros(1)
-    h, w = shape
-    grid = np.zeros((steps, steps, h, w))
+    grid = np.zeros((steps, steps, *shard.images.shape[1:]))
     z_rows = np.stack([z_mu[anchor] + o * dir_z for o in offsets])
     c_cols = np.stack([c_mu[anchor] + o * dir_c for o in offsets])
     for i in range(steps):
         z_batch = np.repeat(z_rows[i][None, :], steps, axis=0)
-        out = ad.sigmoid(model.decode(Tensor(z_batch), Tensor(c_cols)))
-        grid[i] = out.data.reshape(steps, h, w)
-    return TraversalGrid(images=grid, anchor=anchor)
+        out = ad.sigmoid(shard.model.decode(Tensor(z_batch), Tensor(c_cols)))
+        grid[i] = out.data.reshape(grid.shape[1:])
+    return grid
 
 
 def _separation_ratio(per_client: list[np.ndarray]) -> float:
@@ -212,47 +206,37 @@ def clustering_report(codes: list[ShardCodes], xi: float,
     )
 
 
-def accuracy(model, images: np.ndarray, labels: np.ndarray,
-             latents: str) -> float:
-    """Share of the flat image rows whose largest logit is their label."""
-    pred = np.argmax(model.predict_logits(Tensor(images),
-                                          latents=latents).data, axis=1)
-    return float(np.mean(pred == labels))
+def accuracy(shard: ClientShard, latents: str) -> float:
+    """Share of the shard's held-out rows whose largest logit under
+    shard.model is their label."""
+    if shard.holdout_images.shape[0] == 0:
+        raise ValueError(f"accuracy: empty held-out split on shard {shard.id}")
+    logits = shard.model.predict_logits(Tensor(shard.flat_holdout()),
+                                        latents=latents)
+    return float(np.mean(np.argmax(logits.data, axis=1)
+                         == shard.holdout_labels))
 
 
-def accuracy_per_client(models, shards: list[ClientShard], split: str = "held-out",
-                        latents: str = "both"):
-    """Deterministic per-client accuracy plus mean and across-client stddev.
-
-    models: a single model shared by all clients, or a mapping id -> model.
-    """
-    accs = []
-    for shard in shards:
-        model = models[shard.id] if isinstance(models, dict) else models
-        if split == "train":
-            images, labels = shard.flat_images(), shard.labels
-        elif split == "held-out":
-            images, labels = shard.flat_holdout(), shard.holdout_labels
-        else:
-            raise ValueError(f"unknown split {split!r}")
-        if images.shape[0] == 0:
-            raise ValueError(f"accuracy: empty {split} split on shard {shard.id}")
-        accs.append(accuracy(model, images, labels, latents))
+def accuracy_per_client(shards: list[ClientShard], latents: str = "both"):
+    """Deterministic per-client held-out accuracy plus mean and
+    across-client stddev."""
+    accs = [accuracy(shard, latents) for shard in shards]
     return accs, float(np.mean(accs)), float(np.std(accs))
 
 
 # ----------------------------------------------------------------- export
 
 
-def export_grid_image(grid: TraversalGrid, path) -> None:
-    """Tile the grid into one 8-bit PGM (P5) with 1-px separators."""
-    steps_z, steps_c, h, w = grid.images.shape
+def export_grid_image(images: np.ndarray, path) -> None:
+    """Tile a [steps_z, steps_c, H, W] grid into one 8-bit PGM (P5) with
+    1-px separators."""
+    steps_z, steps_c, h, w = images.shape
     out_h = steps_z * h + (steps_z - 1)
     out_w = steps_c * w + (steps_c - 1)
     canvas = np.full((out_h, out_w), 128, dtype=np.uint8)
     for i in range(steps_z):
         for j in range(steps_c):
-            tile = np.clip(grid.images[i, j], 0.0, 1.0)
+            tile = np.clip(images[i, j], 0.0, 1.0)
             quant = np.round(tile * 255.0).astype(np.uint8)
             canvas[i * (h + 1):i * (h + 1) + h,
                    j * (w + 1):j * (w + 1) + w] = quant
@@ -277,18 +261,14 @@ def export_embeddings_csv(codes: list[ShardCodes], path) -> None:
     """client_id, sample_id, z_0..z_{d-1}, c_0..c_{d-1} for every train sample."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        first = True
+        if codes:
+            writer.writerow(["client_id", "sample_id"]
+                            + [f"z_{i}" for i in range(codes[0].z_mu.shape[1])]
+                            + [f"c_{i}" for i in range(codes[0].c_mu.shape[1])])
         for code in codes:
-            z_mu, c_mu = code.z_mu, code.c_mu
-            if first:
-                header = (["client_id", "sample_id"]
-                          + [f"z_{i}" for i in range(z_mu.shape[1])]
-                          + [f"c_{i}" for i in range(c_mu.shape[1])])
-                writer.writerow(header)
-                first = False
-            for s in range(z_mu.shape[0]):
-                writer.writerow([code.shard_id, s, *z_mu[s].tolist(),
-                                 *c_mu[s].tolist()])
+            rows = np.hstack([code.z_mu, code.c_mu]).tolist()
+            writer.writerows([code.shard_id, s, *row]
+                             for s, row in enumerate(rows))
 
 
 def export_accuracy_csv(accs: list[float], mean: float, std: float, path) -> None:

@@ -246,13 +246,9 @@ class DvaModel(FederatedModel):
         qz = self.encode_z(x)
         return qz, self.encode_c(x, qz.mu)
 
-    def posterior_means(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """(mu_z, mu_c) of posteriors(x)."""
-        qz, qc = self.posteriors(x)
-        return qz.mu, qc.mu
-
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
-        return self.classify(*self.posterior_means(x), latents)
+        qz, qc = self.posteriors(x)
+        return self.classify(qz.mu, qc.mu, latents)
 
     # ----------------------------------------------------- parameters
 

@@ -22,9 +22,8 @@ from feddva.federation import (aggregate, client_update, init_run,
                                two_phase_update)
 from feddva.gaussians import DiagGaussian, kl_pairwise, kl_to_standard
 from feddva.losses import hinge_max, loss_feddva
-from feddva.metrics import (TraversalGrid, accuracy_per_client,
-                            clustering_report, encode_shards,
-                            export_grid_image, parse_pgm)
+from feddva.metrics import (accuracy_per_client, clustering_report,
+                            encode_shards, export_grid_image, parse_pgm)
 from feddva.model import ArchitectureConfig, DvaModel
 from feddva.selftest import OP_SAMPLE_SHAPES
 from oracles import (grad_check, kl_to_batch_mixture, leaf,
@@ -62,8 +61,7 @@ def disentangle_runs():
     for seed in DISENTANGLE_SEEDS:
         cfg = disentangle_cfg(seed)
         state = run_experiment(cfg)
-        rep = clustering_report(encode_shards(state.shards[0].model,
-                                              state.shards),
+        rep = clustering_report(encode_shards(state.shards),
                                 xi=cfg.xi_value(), seed=cfg.seed)
         runs[seed] = (cfg, state, rep)
     return runs, time.monotonic() - start
@@ -97,8 +95,7 @@ def classification_runs():
             history = []
             state = run_experiment(
                 cfg, on_round=lambda st, rec: history.append(rec.to_json_dict()))
-            models = {s.id: s.model for s in state.shards}
-            accs, mean, std = accuracy_per_client(models, state.shards)
+            accs, mean, std = accuracy_per_client(state.shards)
             with open(out / "history.jsonl", "w") as f:
                 for row in history:
                     f.write(json.dumps(row, sort_keys=True) + "\n")
@@ -388,7 +385,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     cfg_ok = ExperimentConfig.from_text(cfg.to_text()) == cfg
 
     # PGM to quantization
-    grid = TraversalGrid(images=rng.uniform(0, 1, (2, 3, 4, 4)), anchor=0)
+    grid = rng.uniform(0, 1, (2, 3, 4, 4))
     export_grid_image(grid, tmp_path / "g.pgm")
     img = parse_pgm(tmp_path / "g.pgm")
     pgm_ok = img.shape == (2 * 4 + 1, 3 * 4 + 2)
@@ -396,7 +393,7 @@ def test_criterion_9_format_round_trips(tmp_path):
         for j in range(3):
             tile = img[i * 5:i * 5 + 4, j * 5:j * 5 + 4]
             pgm_ok &= np.array_equal(
-                tile, np.round(grid.images[i, j] * 255).astype(np.uint8))
+                tile, np.round(grid[i, j] * 255).astype(np.uint8))
 
     ok = idx_ok and ckpt_ok and cfg_ok and pgm_ok
     report(9, ok, f"IDX bitwise={idx_ok}, checkpoint bitwise={ckpt_ok}, "

@@ -1,6 +1,10 @@
+import hashlib
 import json
 import shutil
+import subprocess
+import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +187,34 @@ def test_comments_and_blank_lines(tmp_path):
     assert cfg.rounds == 7
 
 
+def test_repeated_key_named_with_both_lines(tmp_path):
+    with pytest.raises(ConfigError, match="line 4: config key 'K' repeats "
+                       "line 1"):
+        load_config(write_cfg(tmp_path, "K = 4\nm = 2\n# K = 6\nK = 8\n"))
+    # a flag or FEDDVA_OUTPUT_DIR still replaces the value the text sets
+    assert ExperimentConfig.from_text("K = 4\nm = 2\n", {"K": "8"}).K == 8
+
+
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_named(key):
+    # lr_eta = inf trained to NaN and wrote bare NaN tokens, which are not
+    # JSON, into history.jsonl
+    for text in ("inf", "-inf", "nan"):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            ExperimentConfig.from_text(f"{key} = {text}\n")
+
+
+def test_seed_and_activation_named_before_the_run(tmp_path, capsys):
+    for flag, value in (("--seed", "-1"), ("--activation", "gelu")):
+        rc = main(["train", flag, value, "--output_dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config key '{flag[2:]}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["dataset", "idx_labels", "output_dir"])
 def test_text_values_config_text_cannot_carry_named(key):
     # '#' starts a comment, a line break a new key, and the parser strips
@@ -239,6 +271,30 @@ def test_train_rerun_identical_metrics(tmp_path):
     a = (outs[0] / "checkpoints/round_00003/shared.ckpt").read_bytes()
     b = (outs[1] / "checkpoints/round_00003/shared.ckpt").read_bytes()
     assert a == b
+
+
+def test_fingerprint_script_hashes_each_part_of_a_run(tmp_path):
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cmd_train(cfg)
+    cmd_eval(cfg)
+    script = Path(__file__).resolve().parent.parent / "scripts/fingerprint.py"
+    lines = subprocess.run([sys.executable, str(script), str(out)],
+                           capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    got = dict(reversed(line.split("  ", 1)) for line in lines)
+    ckpt = out / "checkpoints/round_00003"
+    _, _, theta = load_checkpoint(ckpt / "shared.ckpt")
+    history = "".join(json.dumps(row, sort_keys=True) + "\n" for row in
+                      _history_without_walltime(out / "history.jsonl"))
+    assert got.pop("theta") == hashlib.sha256(theta.tobytes()).hexdigest()
+    assert got.pop("history.jsonl") == \
+        hashlib.sha256(history.encode()).hexdigest()
+    files = [ckpt / "shared.ckpt", *ckpt.glob("client_*.ckpt"),
+             out / "config.txt", out / "partition.json",
+             *(out / "eval").iterdir()]
+    assert got == {str(f.relative_to(out)):
+                   hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
 
 def test_manifest_replays_to_same_result(tmp_path):
@@ -432,8 +488,7 @@ def test_eval_scores_the_model_training_produced(tmp_path, task, method):
     if task == "classify":
         cmd_eval(cfg)
         accs, mean, std = accuracy_per_client(
-            {s.id: s.model for s in state.shards}, state.shards,
-            latents=cfg.classifier_latents)
+            state.shards, latents=cfg.classifier_latents)
         export_accuracy_csv(accs, mean, std, tmp_path / "in_memory.csv")
         assert (out / "eval" / "accuracy.csv").read_text() == \
             (tmp_path / "in_memory.csv").read_text()

@@ -26,8 +26,8 @@ def test_decode_round_trip_beats_mean_image_baseline():
     model_bces, baselines = [], []
     for shard in state.shards:
         model = shard.model
-        z_mu, c_mu = model.posterior_means(Tensor(shard.flat_images()))
-        recon = model.decode(z_mu, c_mu)
+        qz, qc = model.posteriors(Tensor(shard.flat_images()))
+        recon = model.decode(qz.mu, qc.mu)
         model_bces.append(bce_recon(recon, Tensor(shard.flat_images())).item())
         baselines.append(dataset_mean_bce(shard.images))
     assert np.mean(model_bces) < np.mean(baselines)
@@ -70,11 +70,9 @@ def test_finetune_beats_plain_fedavg_per_client():
                       toy_width=8, hidden_dims=(32,), lr_eta=0.005,
                       lr_lambda=0.005, d_z=2, d_c=2, seed=seed, ft_epochs=5)
         st_a = run_experiment(ExperimentConfig(method="fedavg", **common))
-        accs_a, _, _ = accuracy_per_client(
-            {s.id: s.model for s in st_a.shards}, st_a.shards)
+        accs_a, _, _ = accuracy_per_client(st_a.shards)
         st_f = run_experiment(ExperimentConfig(method="fedavg-ft", **common))
-        accs_f, _, _ = accuracy_per_client(
-            {s.id: s.model for s in st_f.shards}, st_f.shards)
+        accs_f, _, _ = accuracy_per_client(st_f.shards)
         wins += sum(int(f >= a) for a, f in zip(accs_a, accs_f))
         total += len(accs_a)
     assert wins / total >= 0.7, f"fine-tuning helped on only {wins}/{total}"

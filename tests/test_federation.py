@@ -9,7 +9,7 @@ from feddva.config import ExperimentConfig
 from feddva.federation import (aggregate, blank_run, client_update,
                                init_run, iter_batches, run_experiment,
                                run_rounds, sample_clients, two_phase_update)
-from feddva.model import DvaModel
+from feddva.model import MODEL_CLASS, DvaModel
 from feddva.seeding import make_rng
 
 
@@ -456,17 +456,18 @@ def test_blank_run_is_init_run_with_zero_weights(over):
     for a, b in zip(drawn.shards, blank.shards, strict=True):
         for attr in ("images", "labels", "holdout_images", "holdout_labels"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
-        assert (a.id, a.weight, a.xi) == (b.id, b.weight, b.xi)
+        assert (a.id, a.weight) == (b.id, b.weight)
         assert not any(p.data.any() for p in b.model.all_parameters())
         assert [p.shape for p in b.model.all_parameters()] == \
             [p.shape for p in a.model.all_parameters()]
 
 
 def test_run_experiment_dispatch():
-    assert run_experiment(small_cfg(rounds=0)).method == "feddva"
-    cfg = small_cfg(task="classify", method="fedavg", rounds=0,
-                    partition="label-skew", d_z=2, d_c=2)
-    assert run_experiment(cfg).method == "fedavg"
+    for cfg in (small_cfg(rounds=0),
+                small_cfg(task="classify", method="fedavg", rounds=0,
+                          partition="label-skew", d_z=2, d_c=2)):
+        for shard in run_experiment(cfg).shards:
+            assert type(shard.model) is MODEL_CLASS[cfg.method]
 
 
 def test_vanilla_vae_method_runs():

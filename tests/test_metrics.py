@@ -6,7 +6,7 @@ import pytest
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.data import ClientShard, make_toy_digits, partition_uniform_marked
-from feddva.metrics import (DisentanglementReport, TraversalGrid,
+from feddva.metrics import (DisentanglementReport,
                             accuracy_per_client, clustering_report,
                             encode_shards, export_grid_image, latent_traversal,
                             mixture_kl_to_standard_mc, parse_pgm,
@@ -25,6 +25,8 @@ def shards_and_model(seed=0, k=3, n_per_class=12):
     rng = np.random.default_rng(seed + 1)
     for layer in (model.z_mu, model.z_lv, model.c_mu, model.c_lv):
         layer.w.data = rng.uniform(-0.3, 0.3, layer.w.data.shape)
+    for s in shards:
+        s.model = model
     return shards, model
 
 
@@ -33,7 +35,7 @@ def shards_and_model(seed=0, k=3, n_per_class=12):
 
 def test_encode_shards_holds_each_shards_posteriors():
     shards, model = shards_and_model()
-    codes = encode_shards(model, shards)
+    codes = encode_shards(shards)
     assert [c.shard_id for c in codes] == [s.id for s in shards]
     for shard, code in zip(shards, codes):
         qz, qc = model.posteriors(Tensor(shard.flat_images()))
@@ -45,45 +47,44 @@ def test_encode_shards_holds_each_shards_posteriors():
 # ------------------------------------------------------------- traversal
 
 
-def traverse(model, shard, **kw):
-    return latent_traversal(model, encode_shards(model, [shard])[0],
-                            shard.images.shape[1:], **kw)
+def traverse(shard, **kw):
+    return latent_traversal(shard, encode_shards([shard])[0], **kw)
 
 
 def test_traversal_grid_shape():
-    shards, model = shards_and_model()
-    grid = traverse(model, shards[0], anchor=0, steps=5, span=1.5)
-    assert grid.images.shape == (5, 5, 8, 8)
+    shards, _ = shards_and_model()
+    grid = traverse(shards[0], anchor=0, steps=5, span=1.5)
+    assert grid.shape == (5, 5, 8, 8)
 
 
 def test_traversal_single_step_is_anchor_recon():
     shards, model = shards_and_model()
     shard = shards[0]
-    grid = traverse(model, shard, anchor=2, steps=1, span=1.0)
-    z_mu, c_mu = model.posterior_means(Tensor(shard.flat_images()))
-    recon = ad.sigmoid(model.decode(Tensor(z_mu.data[2:3]),
-                                    Tensor(c_mu.data[2:3]))).data
-    assert np.allclose(grid.images[0, 0].reshape(-1), recon[0])
+    grid = traverse(shard, anchor=2, steps=1, span=1.0)
+    qz, qc = model.posteriors(Tensor(shard.flat_images()))
+    recon = ad.sigmoid(model.decode(Tensor(qz.mu.data[2:3]),
+                                    Tensor(qc.mu.data[2:3]))).data
+    assert np.allclose(grid[0, 0].reshape(-1), recon[0])
 
 
 def test_traversal_zero_span_all_cells_identical():
-    shards, model = shards_and_model()
-    grid = traverse(model, shards[0], anchor=0, steps=4, span=0.0)
-    base = grid.images[0, 0]
-    assert np.allclose(grid.images, base[None, None])
+    shards, _ = shards_and_model()
+    grid = traverse(shards[0], anchor=0, steps=4, span=0.0)
+    base = grid[0, 0]
+    assert np.allclose(grid, base[None, None])
 
 
 def test_traversal_rejects_nan_model():
     shards, model = shards_and_model()
     model.z_mu.w.data[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        traverse(model, shards[0], anchor=0, steps=3, span=1.0)
+        traverse(shards[0], anchor=0, steps=3, span=1.0)
 
 
 def test_traversal_anchor_bounds():
-    shards, model = shards_and_model()
+    shards, _ = shards_and_model()
     with pytest.raises(ValueError, match="anchor"):
-        traverse(model, shards[0], anchor=10**6, steps=3, span=1.0)
+        traverse(shards[0], anchor=10**6, steps=3, span=1.0)
 
 
 # ------------------------------------------------------------ clustering
@@ -109,14 +110,14 @@ def test_separation_ratio_identical_points_is_zero():
 
 
 def test_clustering_report_requires_two_clients():
-    shards, model = shards_and_model(k=3)
+    shards, _ = shards_and_model(k=3)
     with pytest.raises(ValueError, match="2 clients"):
-        clustering_report(encode_shards(model, shards[:1]), xi=1.0)
+        clustering_report(encode_shards(shards[:1]), xi=1.0)
 
 
 def test_clustering_report_fields_and_determinism():
-    shards, model = shards_and_model()
-    codes = encode_shards(model, shards)
+    shards, _ = shards_and_model()
+    codes = encode_shards(shards)
     a = clustering_report(codes, xi=0.5, mc_samples=2000, seed=3)
     b = clustering_report(codes, xi=0.5, mc_samples=2000, seed=3)
     assert a == b
@@ -193,13 +194,10 @@ class StubPerfect:
 def test_accuracy_perfect_predictor():
     ds = make_toy_digits(10, 4, 8, 8, 0)
     shards, _ = partition_uniform_marked(ds, 2, 0, holdout_frac=0.3)
-    stub = StubPerfect(4)
-    models = {}
     for s in shards:
-        m = StubPerfect(4)
-        m.labels = s.holdout_labels
-        models[s.id] = m
-    accs, mean, std = accuracy_per_client(models, shards)
+        s.model = StubPerfect(4)
+        s.model.labels = s.holdout_labels
+    accs, mean, std = accuracy_per_client(shards)
     assert accs == [1.0, 1.0]
     assert mean == 1.0 and std == 0.0
 
@@ -212,7 +210,9 @@ def test_accuracy_chance_level_random_logits():
 
     ds = make_toy_digits(200, 4, 8, 8, 1)
     shards, _ = partition_uniform_marked(ds, 2, 1, holdout_frac=0.5)
-    accs, mean, _ = accuracy_per_client(StubRandom(), shards)
+    for s in shards:
+        s.model = StubRandom()
+    accs, mean, _ = accuracy_per_client(shards)
     n = sum(s.holdout_labels.size for s in shards) // 2
     ci = 3 * math.sqrt(0.25 * 0.75 / n)
     assert abs(mean - 0.25) < ci + 0.05
@@ -221,31 +221,18 @@ def test_accuracy_chance_level_random_logits():
 def test_accuracy_empty_split_errors():
     ds = make_toy_digits(6, 2, 8, 8, 2)
     shards, _ = partition_uniform_marked(ds, 2, 2, holdout_frac=0.0)
-    with pytest.raises(ValueError, match="empty"):
-        accuracy_per_client(StubPerfect(2), shards)
-
-
-def test_accuracy_train_split_and_unknown_split():
-    ds = make_toy_digits(6, 2, 8, 8, 3)
-    shards, _ = partition_uniform_marked(ds, 2, 3, holdout_frac=0.25)
-    models = {}
     for s in shards:
-        m = StubPerfect(2)
-        m.labels = s.labels
-        models[s.id] = m
-    accs, mean, _ = accuracy_per_client(models, shards, split="train")
-    assert mean == 1.0
-    with pytest.raises(ValueError, match="unknown split"):
-        accuracy_per_client(models, shards, split="validation")
+        s.model = StubPerfect(2)
+    with pytest.raises(ValueError, match="empty"):
+        accuracy_per_client(shards)
 
 
 # ---------------------------------------------------------------- export
 
 
 def test_pgm_tiling_dimensions(tmp_path):
-    grid = TraversalGrid(images=np.zeros((2, 2, 16, 16)), anchor=0)
     path = tmp_path / "grid.pgm"
-    export_grid_image(grid, path)
+    export_grid_image(np.zeros((2, 2, 16, 16)), path)
     img = parse_pgm(path)
     assert img.shape == (33, 33)
 
@@ -255,7 +242,7 @@ def test_pgm_quantization_endpoints(tmp_path):
     images[0, 0] = 0.0
     images[0, 1] = 1.0
     path = tmp_path / "q.pgm"
-    export_grid_image(TraversalGrid(images=images, anchor=0), path)
+    export_grid_image(images, path)
     img = parse_pgm(path)
     assert img[0, 0] == 0
     assert img[0, 5] == 255
@@ -265,7 +252,7 @@ def test_pgm_round_trip_to_quantization(tmp_path):
     rng = np.random.default_rng(8)
     images = rng.uniform(0, 1, (3, 2, 5, 7))
     path = tmp_path / "r.pgm"
-    export_grid_image(TraversalGrid(images=images, anchor=0), path)
+    export_grid_image(images, path)
     img = parse_pgm(path)
     for i in range(3):
         for j in range(2):
@@ -275,9 +262,9 @@ def test_pgm_round_trip_to_quantization(tmp_path):
 
 
 def test_embeddings_csv(tmp_path):
-    shards, model = shards_and_model()
+    shards, _ = shards_and_model()
     path = tmp_path / "emb.csv"
-    export_embeddings_csv(encode_shards(model, shards), path)
+    export_embeddings_csv(encode_shards(shards), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "client_id,sample_id,z_0,z_1,z_2,c_0,c_1"
     assert len(lines) == 1 + sum(s.n for s in shards)
