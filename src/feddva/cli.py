@@ -2,7 +2,8 @@
 
 train  runs the configured method, streaming one JSON line per round to
        history.jsonl (flushed immediately), checkpointing on schedule,
-       and writing a reproducibility manifest. --resume continues a
+       and writing a reproducibility manifest; a fresh run first removes
+       the checkpoints and eval an earlier run left. --resume continues a
        killed run from its last complete checkpoint; the splittable seed
        schedule makes the continuation identical to an uninterrupted run
        under the same numeric stack, and resume warns when it differs.
@@ -229,6 +230,10 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
                               f"checkpoint of round {state.round}")
     else:
         state = init_run(cfg)
+        # a fresh run: eval and --resume must not find an old run's outputs
+        for stale in (out_dir / "checkpoints", out_dir / "eval"):
+            if stale.is_dir():
+                shutil.rmtree(stale)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text())
     write_manifest(cfg, out_dir, resume)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .data import MIN_PER_CLIENT, TOY_MAX_CLASSES, TOY_MIN_SIDE
+from .data import (MIN_PER_CLIENT, MIN_PER_MARKED_CLIENT, TOY_MAX_CLASSES,
+                   TOY_MIN_SIDE)
 from .model import ACTIVATIONS
 
 TASKS = ("reconstruct", "classify")
@@ -129,7 +130,8 @@ class ExperimentConfig:
                 need(getattr(self, key) >= TOY_MIN_SIDE, key,
                      f"must be >= {TOY_MIN_SIDE}")
             # the partition gives every client at least this many samples
-            per_client = MIN_PER_CLIENT if self.partition == "label-skew" else 1
+            per_client = (MIN_PER_CLIENT if self.partition == "label-skew"
+                          else MIN_PER_MARKED_CLIENT)
             n = self.toy_classes * self.toy_per_class
             need(n >= per_client * self.K, "toy_per_class",
                  f"toy_classes * toy_per_class = {n} samples, but the "

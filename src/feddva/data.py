@@ -28,6 +28,8 @@ MARK_KINDS = ("horizontal-sinusoid", "ellipse", "vertical-sinusoid", "plain")
 
 # the label-skew partition tops every client up to this many samples
 MIN_PER_CLIENT = 4
+# a marked client needs a batch of two rows to take one step
+MIN_PER_MARKED_CLIENT = 2
 
 
 class IdxFormatError(ValueError):
@@ -259,8 +261,10 @@ def partition_uniform_marked(ds: Dataset, n_clients: int, seed: int,
                              holdout_frac: float = 0.2):
     """Uniform disjoint split; client k gets mark k cycling the four kinds."""
     n = ds.images.shape[0]
-    if n_clients < 1 or n_clients > n:
-        raise ValueError(f"partition: need 1 <= clients <= {n}, got {n_clients}")
+    if n_clients < 1 or n < MIN_PER_MARKED_CLIENT * n_clients:
+        raise ValueError(f"partition: {n} samples cannot give {n_clients} "
+                         f"clients {MIN_PER_MARKED_CLIENT} each; need "
+                         f"1 <= clients <= {n // MIN_PER_MARKED_CLIENT}")
     if marks is None:
         base = default_marks(ds.images.shape[1], ds.images.shape[2])
         marks = [base[k % len(base)] for k in range(n_clients)]

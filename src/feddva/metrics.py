@@ -29,6 +29,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -246,7 +247,7 @@ def export_grid_image(images: np.ndarray, path) -> None:
 
 
 def parse_pgm(path) -> np.ndarray:
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     parts = raw.split(b"\n", 3)
     if parts[0] != b"P5":
         raise ValueError(f"{path}: not a P5 PGM")

@@ -29,7 +29,8 @@ from feddva.selftest import OP_SAMPLE_SHAPES
 from oracles import (grad_check, kl_to_batch_mixture, leaf,
                      mc_kl_between_gaussians, mc_kl_to_mixture)
 
-ARTIFACTS = Path(__file__).resolve().parent.parent / "runs" / "acceptance"
+ROOT = Path(__file__).resolve().parent.parent
+ARTIFACTS = ROOT / "runs" / "acceptance"
 
 
 def report(n, ok, detail):
@@ -39,19 +40,17 @@ def report(n, ok, detail):
 
 # ---------------------------------------------------------------- fixtures
 
+def workload_cfg(name, **overrides):
+    """The config in configs/<name>.txt, with `overrides` set."""
+    text = (ROOT / "configs" / f"{name}.txt").read_text(encoding="utf-8")
+    return ExperimentConfig.from_text(text, overrides)
+
+
 DISENTANGLE_SEEDS = (1, 2, 3)
 
 
 def disentangle_cfg(seed):
-    # pinned by the criterion: 16x16 toy digits, K=4 marked, m=4, 30 rounds,
-    # batch 64, d_z=d_c=4, xi = 8*4 scaled; the rest is desk-scale calibration
-    return ExperimentConfig(task="reconstruct", method="feddva", K=4, m=4,
-                            rounds=30, epochs_per_phase=5, batch_size=64,
-                            lr_eta=0.002, lr_lambda=0.01, d_z=4, d_c=4,
-                            xi_per_dim=8.0, xi_scale=0.04, beta=1.5,
-                            n_elbo_samples=2, hidden_dims=(64,),
-                            toy_classes=4, toy_per_class=160, toy_height=16,
-                            toy_width=16, partition="marked", seed=seed)
+    return workload_cfg("disentangle", seed=str(seed))
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +70,8 @@ CLASSIFY_SEEDS = (1, 2, 3)
 
 
 def classify_cfg(seed, method):
-    return ExperimentConfig(task="classify", method=method, K=8, m=4,
-                            rounds=40, epochs_per_phase=5, batch_size=64,
-                            partition="label-skew", concentration=0.3,
-                            toy_classes=4, toy_per_class=240, toy_height=16,
-                            toy_width=16, hidden_dims=(64,), lr_eta=0.01,
-                            lr_lambda=0.002, gamma=10.0, xi_scale=0.04,
-                            beta=1.5, eval_every=10, seed=seed,
-                            output_dir=str(ARTIFACTS / f"classify_{method}_s{seed}"))
+    return workload_cfg("classify", seed=str(seed), method=method,
+                        output_dir=str(ARTIFACTS / f"classify_{method}_s{seed}"))
 
 
 @pytest.fixture(scope="module")

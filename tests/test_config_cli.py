@@ -158,12 +158,13 @@ def test_toy_sizes_checked_against_K_named(tmp_path, capsys):
             (dict(toy_height=7), "toy_height"),
             (dict(toy_width=4), "toy_width"),
             (dict(K=5, m=1, toy_classes=1, toy_per_class=4), "toy_per_class"),
+            (dict(K=5, m=1, toy_classes=1, toy_per_class=9), "toy_per_class"),
             (dict(K=5, m=1, partition="label-skew", toy_classes=2,
                   toy_per_class=9), "toy_per_class")):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             ExperimentConfig(**kwargs)
-    # just enough: one sample per marked client, four per label-skewed one
-    ExperimentConfig(K=5, m=1, toy_classes=1, toy_per_class=5)
+    # just enough: two samples per marked client, four per label-skewed one
+    ExperimentConfig(K=5, m=1, toy_classes=1, toy_per_class=10)
     ExperimentConfig(K=5, m=1, partition="label-skew", toy_classes=2,
                      toy_per_class=10)
     # the toy keys do not describe an IDX dataset
@@ -679,6 +680,34 @@ def test_load_state_draws_no_init_weights(tmp_path, monkeypatch):
         assert not s.model.flatten_shared().any()
         assert np.array_equal(s.model.flatten_local(), load_checkpoint(
             ckpt / f"client_{s.id:03d}.ckpt")[2])
+
+
+def test_fresh_train_drops_the_old_runs_checkpoints_and_eval(tmp_path):
+    cfg_path = write_cfg(tmp_path, FAST)
+
+    def train(out, rounds, seed):
+        return main(["train", "--config", str(cfg_path), "--rounds", rounds,
+                     "--seed", seed, "--output_dir", str(out)])
+
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    assert train(out, "4", "1") == 0
+    assert main(["eval", "--output_dir", str(out)]) == 0
+    assert train(out, "2", "7") == 0
+    assert [p.name for p in (out / "checkpoints").iterdir()] == ["round_00002"]
+    assert not (out / "eval").exists()
+    # eval and --resume then see only the seed-7 run, as if trained afresh
+    assert train(ref, "2", "7") == 0
+    for run in (out, ref):
+        assert main(["eval", "--output_dir", str(run)]) == 0
+    assert _files(out / "eval") == _files(ref / "eval")
+    for run in (out, ref):
+        assert main(["train", "--resume", "--output_dir", str(run),
+                     "--rounds", "5"]) == 0
+    history = _history_without_walltime(out / "history.jsonl")
+    assert [row["round"] for row in history] == [1, 2, 3, 4, 5]
+    assert history == _history_without_walltime(ref / "history.jsonl")
+    ckpt = "checkpoints/round_00005/shared.ckpt"
+    assert (out / ckpt).read_bytes() == (ref / ckpt).read_bytes()
 
 
 def test_eval_rejects_config_flags(tmp_path, capsys):

@@ -142,6 +142,15 @@ def test_uniform_marked_single_client():
     assert plan.scheme == "uniform-with-marks"
 
 
+def test_uniform_marked_needs_two_samples_per_client():
+    ds = toy(n_per_class=2, n_classes=3)
+    shards, _ = partition_uniform_marked(ds, 3, seed=0, holdout_frac=0.0)
+    assert [s.n for s in shards] == [2, 2, 2]
+    for n_clients in (0, 4, 6):
+        with pytest.raises(ValueError, match="2 each"):
+            partition_uniform_marked(ds, n_clients, seed=0)
+
+
 def test_uniform_marked_balanced_sizes():
     ds = toy(n_per_class=13)
     shards, _ = partition_uniform_marked(ds, 5, seed=1, holdout_frac=0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,8 +234,11 @@ def test_accuracy_empty_split_errors():
 def test_pgm_tiling_dimensions(tmp_path):
     path = tmp_path / "grid.pgm"
     export_grid_image(np.zeros((2, 2, 16, 16)), path)
-    img = parse_pgm(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        img = parse_pgm(path)
     assert img.shape == (33, 33)
+    assert not [w for w in caught if w.category is ResourceWarning]
 
 
 def test_pgm_quantization_endpoints(tmp_path):
