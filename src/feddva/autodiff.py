@@ -1,11 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Every operation returns a Tensor recording its parent tensors and a
-closure for the local vector-Jacobian product. ``backward`` orders the
-subgraph reachable from a scalar loss topologically and walks it in
-reverse, accumulating gradients into requires-grad leaves. Gradients are
-never overwritten: repeated backward calls add up until the caller
-clears them (``sgd_step`` clears what it steps).
+closure for the local vector-Jacobian product. A recorded node (one with
+a requires-grad parent) takes a creation index, and a node is always
+created after its parents, so creation order is a topological order:
+``topo_order`` collects the subgraph reachable from a scalar loss and
+sorts it by that index, leaves first. ``backward`` walks it in reverse,
+holding each pending gradient in a slot on its node, and accumulates
+gradients into requires-grad leaves. Gradients are never overwritten:
+repeated backward calls add up until the caller clears them
+(``sgd_step`` clears what it steps).
 
 The VJP contract: a node's closure ``back(g)`` maps the gradient of its
 output to a tuple with one gradient per entry of ``node.parents``, or None
@@ -18,9 +22,15 @@ give bitwise-identical forwards and gradients on one platform.
 
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+# creation indexes of recorded nodes; a leaf keeps index 0, so it sorts
+# before every node that reads it wherever it was made
+_creation = itertools.count(1)
 
 
 class ShapeError(ValueError):
@@ -43,7 +53,8 @@ class Tensor:
     requires-grad leaves and accumulates across calls.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward",
+                 "_index", "_pending")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -52,16 +63,22 @@ class Tensor:
         self.op = "leaf"
         self.parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple] | None = None
+        self._index = 0
+        # backward's gradient slot; None outside a backward call
+        self._pending: np.ndarray | None = None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, op: str, parents: tuple["Tensor", ...],
                  backward: Callable[[np.ndarray], tuple]) -> "Tensor":
         out = cls(data)
         out.op = op
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out.parents = parents
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out.parents = parents
+                out._backward = backward
+                out._index = next(_creation)
+                break
         return out
 
     @property
@@ -110,55 +127,64 @@ class Tensor:
         return matmul(self, other)
 
 
+_by_index = attrgetter("_index")
+
+
 def topo_order(root: Tensor) -> list[Tensor]:
-    """Nodes reachable from ``root``, every node after all of its parents."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    """Nodes reachable from ``root``, every node after all of its parents:
+    the leaves, then the recorded nodes in creation order."""
+    nodes = [root]
+    seen = {id(root)}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
-    return order
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+                stack.append(p)
+    nodes.sort(key=_by_index)
+    return nodes
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf with d(loss)/d(leaf).
 
-    ``loss`` must be scalar. Propagation uses a transient gradient map, so
-    calling backward twice on the same graph adds a second full
-    contribution to the leaves (accumulation contract).
+    ``loss`` must be scalar. Pending gradients sit in slots on their nodes
+    only while this call runs, also when a VJP raises, so calling backward
+    twice on the same graph adds a second full contribution to the leaves
+    (accumulation contract).
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = topo_order(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if not node.parents:
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
-            continue
-        # enumerate and an index cost less per node than zip on CPython 3.11
-        values = node._backward(g)
-        for i, parent in enumerate(node.parents):
-            value = values[i]
-            if value is None or not parent.requires_grad:
+    loss._pending = np.ones_like(loss.data)
+    try:
+        for node in reversed(order):
+            g = node._pending
+            if g is None:
                 continue
-            key = id(parent)
-            # never in place: one VJP may hand the same array to two parents
-            grads[key] = grads[key] + value if key in grads else value
+            node._pending = None
+            if not node.parents:
+                if node.requires_grad:
+                    # a copy: one VJP may hand the same array to two parents
+                    if node.grad is None:
+                        node.grad = g.copy()
+                    else:
+                        node.grad += g
+                continue
+            # enumerate and an index cost less per node than zip on CPython 3.11
+            values = node._backward(g)
+            for i, parent in enumerate(node.parents):
+                value = values[i]
+                if value is None or not parent.requires_grad:
+                    continue
+                pending = parent._pending
+                # never in place, for the same reason
+                parent._pending = value if pending is None else pending + value
+    except BaseException:
+        for node in order:
+            node._pending = None
+        raise
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:
@@ -354,8 +380,9 @@ def add_rowvec(x: Tensor, row: Tensor) -> Tensor:
 
 def linear(*operands: Tensor) -> Tensor:
     """linear(x_1, ..., x_k, w, b): x @ w + b for the input x that joins the
-    k >= 1 parts x_i along the last axis, b broadcast over rows; one node
-    for a dense layer.
+    k >= 1 parts x_i along the last axis; one node for a dense layer. b is a
+    bias row broadcast over the rows of x, or an addend of the output's
+    shape, such as another input's share of the same layer.
 
     Bitwise equal to ``add_rowvec(matmul(x, w), b)`` with x from
     ``concat_last``, forward and, for one part, backward. Part i's gradient
@@ -371,14 +398,15 @@ def linear(*operands: Tensor) -> Tensor:
             or sum(x.shape[1] for x in xs) != w.shape[0]):
         shapes = " | ".join(str(x.shape) for x in xs)
         raise ShapeError(f"linear: shapes {shapes} @ {w.shape} do not conform")
-    r = b.data.reshape(-1)
-    if b.data.ndim > 2 or r.shape[0] != w.shape[1]:
-        raise ShapeError(f"linear: bias shape {b.shape} does not match "
-                         f"columns of {w.shape}")
+    out_shape = (xs[0].shape[0], w.shape[1])
+    full = b.shape == out_shape
+    if not full and (b.data.ndim > 2 or b.data.size != w.shape[1]):
+        raise ShapeError(f"linear: bias shape {b.shape} matches neither the "
+                         f"columns of {w.shape} nor the output {out_shape}")
     x = xs[0].data if len(xs) == 1 else np.concatenate([p.data for p in xs],
                                                        axis=1)
     out = x @ w.data
-    out += r
+    out += b.data if full else b.data.reshape(-1)
 
     def back(g):
         grads, at = [], 0
@@ -386,9 +414,10 @@ def linear(*operands: Tensor) -> Tensor:
             rows = w.data[at:at + p.shape[1]]
             grads.append(g @ rows.T if p.requires_grad else None)
             at += p.shape[1]
-        return (*grads,
-                x.T @ g if w.requires_grad else None,
-                g.sum(axis=0).reshape(b.shape) if b.requires_grad else None)
+        g_b = None
+        if b.requires_grad:
+            g_b = g if full else g.sum(axis=0).reshape(b.shape)
+        return (*grads, x.T @ g if w.requires_grad else None, g_b)
 
     return Tensor._from_op(out, "linear", (*xs, w, b), back)
 
@@ -407,19 +436,28 @@ def bce_logits(logits: Tensor, x: Tensor) -> Tensor:
     l = logits.data
     n = l.shape[0]
     # softplus(l) = max(l, 0) + log1p(exp(-|l|)): no overflow, no cancellation
-    softplus = np.maximum(l, 0.0) + np.log1p(np.exp(-np.abs(l)))
+    softplus = np.abs(l)
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    np.log1p(softplus, out=softplus)
+    softplus += np.maximum(l, 0.0)
+    value = x.data * l
+    np.subtract(softplus, value, out=value)
 
     def back(g):
         g_logits = g_x = None
         if logits.requires_grad:
-            sig = 0.5 * (1.0 + np.tanh(0.5 * l))
-            g_logits = (float(g) / n) * (sig - x.data)
+            # sigmoid(l) = exp(l - softplus(l)), from the forward's softplus
+            g_logits = l - softplus
+            np.exp(g_logits, out=g_logits)
+            g_logits -= x.data
+            g_logits *= float(g) / n
         if x.requires_grad:
             g_x = (-float(g) / n) * l
         return g_logits, g_x
 
-    return Tensor._from_op(np.asarray((softplus - x.data * l).sum() / n),
-                           "bce-logits", (logits, x), back)
+    return Tensor._from_op(np.asarray(value.sum() / n), "bce-logits",
+                           (logits, x), back)
 
 
 # one entry per op kind, for dispatch-style callers (selftest, grad sweeps)

@@ -71,7 +71,11 @@ def bce_recon(logits: Tensor, x: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Batch-mean softmax cross-entropy; labels are integer class ids."""
+    """Batch-mean softmax cross-entropy; labels are integer class ids.
+
+    One node: mean(logsumexp(l) - l[label]) over the rows, with the VJP
+    (softmax(l) - onehot) / n in logits space.
+    """
     n, n_classes = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (n,):
@@ -80,15 +84,21 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"cross_entropy: label out of range [0, {n_classes}): "
                          f"found {int(labels.min())}..{int(labels.max())}")
-    # constant max shift; its dependence cancels between the two terms
-    shift = Tensor(np.broadcast_to(logits.data.max(axis=1, keepdims=True),
-                                   logits.shape).copy())
-    shifted = ad.sub(logits, shift)
-    log_z = ad.log(ad.matmul(ad.exp(shifted), Tensor(np.ones((n_classes, 1)))))
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
-    picked = ad.sum_all(ad.mul(shifted, Tensor(onehot)))
-    return ad.scale(ad.sum_all(log_z) - picked, 1.0 / n)
+    rows = np.arange(n)
+    # shifted by each row's max, so exp cannot overflow
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    norm = probs.sum(axis=1, keepdims=True)
+    value = (np.log(norm[:, 0]) - shifted[rows, labels]).sum() / n
+
+    def back(g):
+        grad = probs / norm
+        grad[rows, labels] -= 1.0
+        grad *= float(g) / n
+        return (grad,)
+
+    return Tensor._from_op(np.asarray(value), "softmax-cross-entropy",
+                           (logits,), back)
 
 
 def hinge_max(first: Tensor, second: Tensor) -> Tensor:
@@ -109,24 +119,28 @@ def loss_vanilla_vae(x: Tensor, qz: gaussians.DiagGaussian, model,
 
 def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
                 alpha: float, beta: float, rng: np.random.Generator,
-                n_samples: int = 1) -> LossBreakdown:
+                n_samples: int = 1,
+                product: Tensor | None = None) -> LossBreakdown:
     """Client-specific negative ELBO with the hinge personalization penalty.
 
-    qz is the batch's q(z|x). Needs batch >= 2: the mixture estimator is
+    qz is the batch's q(z|x), and product its model.pixel_product(x),
+    computed here if not given. Needs batch >= 2: the mixture estimator is
     degenerate on one sample. z and c are reparameterized (n_samples
     independent draws, averaged); the cascade feeds the sampled z into the
-    c encoder.
+    c encoder, each draw over the one pixel product.
     """
     n = x.shape[0]
     if n < 2:
         raise ValueError("loss_feddva: batch size must be >= 2 so the batch "
                          "mixture has peers; got 1")
     r_z = gaussians.kl_to_standard(qz)
+    if product is None:
+        product = model.pixel_product(x)
 
     totals, recons, r_cs, klqcs, klmixes = [], [], [], [], []
     for _ in range(n_samples):
         z = gaussians.reparameterize(qz, rng)
-        qc = model.encode_c(x, z)
+        qc = model.encode_c(x, z, product)
         c = gaussians.reparameterize(qc, rng)
         recon = bce_recon(model.decode(z, c), x)
         kl_qc = gaussians.kl_to_standard(qc)
@@ -164,13 +178,14 @@ def loss_classifier(x: Tensor, qz: gaussians.DiagGaussian, labels: np.ndarray,
     posterior means.
 
     The head reads the ELBO's mu_z and q(c|x, mu_z)'s mean, so it adds one
-    encode_c and no encode_z. frozen=True detaches the means so the CE
-    gradient stops at the head.
+    encode_c, over the ELBO's pixel product, and no encode_z. frozen=True
+    detaches the means so the CE gradient stops at the head.
     """
+    product = model.pixel_product(x)
     breakdown = loss_feddva(x, qz, model, xi, alpha, beta, rng,
-                            n_samples=n_samples)
+                            n_samples=n_samples, product=product)
     z_mu = qz.mu
-    c_mu = model.encode_c(x, z_mu).mu
+    c_mu = model.encode_c(x, z_mu, product).mu
     if frozen:
         z_mu, c_mu = z_mu.detach(), c_mu.detach()
     ce = cross_entropy(model.classify(z_mu, c_mu, latents), labels)

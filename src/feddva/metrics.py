@@ -41,18 +41,21 @@ from .seeding import make_rng
 
 @dataclass
 class DisentanglementReport:
-    separation_ratio_z: float
-    separation_ratio_c: float
+    """The separation ratios compare clients: None (null in JSON) for a
+    run of one client."""
+    separation_ratio_z: float | None
+    separation_ratio_c: float | None
     constraint_estimate_per_client: list[float]
     fraction_constraint_met: float
     xi: float
 
     def to_json_dict(self) -> dict:
+        z, c = self.separation_ratio_z, self.separation_ratio_c
         return {
-            "separation_ratio_z": self.separation_ratio_z,
-            "separation_ratio_c": self.separation_ratio_c,
-            "ratio_c_over_z": (self.separation_ratio_c / self.separation_ratio_z
-                               if self.separation_ratio_z > 0 else math.inf),
+            "separation_ratio_z": z,
+            "separation_ratio_c": c,
+            "ratio_c_over_z": (None if z is None
+                               else c / z if z > 0 else math.inf),
             "constraint_estimate_per_client": self.constraint_estimate_per_client,
             "fraction_constraint_met": self.fraction_constraint_met,
             "xi": self.xi,
@@ -179,9 +182,10 @@ def clustering_report(codes: list[ShardCodes], xi: float,
                       mc_samples: int = 10_000, seed: int = 0,
                       max_mixture_components: int = 128) -> DisentanglementReport:
     """Per-client clustering of c vs client-invariance of z, plus the
-    Monte-Carlo estimate of each client's mixture-to-prior KL."""
-    if len(codes) < 2:
-        raise ValueError("clustering_report: need at least 2 clients")
+    Monte-Carlo estimate of each client's mixture-to-prior KL; one client
+    has nothing to separate, so its report gives no separation ratios."""
+    if not codes:
+        raise ValueError("clustering_report: no clients")
     z_all, c_all, estimates = [], [], []
     for code in codes:
         if code.z_mu.shape[0] < 2:
@@ -198,9 +202,10 @@ def clustering_report(codes: list[ShardCodes], xi: float,
             mus, sigmas = mus[keep], sigmas[keep]
         estimates.append(mixture_kl_to_standard_mc(mus, sigmas, mc_samples, rng))
     met = float(np.mean([e >= xi for e in estimates]))
+    several = len(codes) > 1
     return DisentanglementReport(
-        separation_ratio_z=_separation_ratio(z_all),
-        separation_ratio_c=_separation_ratio(c_all),
+        separation_ratio_z=_separation_ratio(z_all) if several else None,
+        separation_ratio_c=_separation_ratio(c_all) if several else None,
         constraint_estimate_per_client=estimates,
         fraction_constraint_met=met,
         xi=xi,

@@ -8,8 +8,14 @@ local head over the two posterior means.
 
 A network over two inputs never concatenates them in the graph: its first
 dense layer reads both as parts of one input (``ad.linear``), so a part
-that takes no gradient, such as the pixels x in h, costs no
-input-gradient GEMM.
+that takes no gradient, such as z and c in a frozen decoder, costs no
+input-gradient GEMM. h's first layer goes further and holds its weight
+as two parameters, the pixel rows W_x and then the z rows W_z (drawn and
+flattened as the one joint weight they split). A batch computes its
+pixel product x @ W_x + b once (``DvaModel.pixel_product``); each
+encode_c of that batch, one per ELBO draw of z plus the classifier's,
+adds only its own z @ W_z, and phase 2's W_x gradient is one GEMM over
+the summed gradients. With no hidden layer, h's heads read x beside z.
 
 Networks are dense MLPs. Trunk weights initialize uniform in
 ±1/sqrt(fan_in); the four posterior-head layers initialize to zero so
@@ -79,19 +85,24 @@ class ArchitectureConfig:
         )
 
 
+def _draw(rng: np.random.Generator | None, fan_in: int, fan_out: int,
+          zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(w, b) of an affine layer: uniform in ±1/sqrt(fan_in), or zeros when
+    zero or rng is None."""
+    if zero or rng is None:
+        return np.zeros((fan_in, fan_out)), np.zeros((1, fan_out))
+    bound = 1.0 / np.sqrt(fan_in)
+    w = rng.uniform(-bound, bound, (fan_in, fan_out))
+    return w, rng.uniform(-bound, bound, (1, fan_out))
+
+
 class Dense:
     """One affine layer: x @ W + b, x given as one or more column parts;
     zero weights when zero or rng is None."""
 
     def __init__(self, rng: np.random.Generator | None, fan_in: int,
                  fan_out: int, zero: bool = False):
-        if zero or rng is None:
-            w = np.zeros((fan_in, fan_out))
-            b = np.zeros((1, fan_out))
-        else:
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(-bound, bound, (fan_in, fan_out))
-            b = rng.uniform(-bound, bound, (1, fan_out))
+        w, b = _draw(rng, fan_in, fan_out, zero)
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
 
@@ -101,6 +112,31 @@ class Dense:
     @property
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
+
+
+class PixelDense:
+    """h's first layer over (x, z), act(x @ W_x + z @ W_z + b), drawn as one
+    joint weight over the input_dim + d_z rows and held as its pixel rows
+    W_x and its z rows W_z. ``pixel_product`` gives a batch's x @ W_x + b,
+    which each call for that batch then completes with its own z."""
+
+    def __init__(self, rng, input_dim: int, d_z: int, fan_out: int,
+                 activation: str):
+        w, b = _draw(rng, input_dim + d_z, fan_out)
+        self.w_x = Tensor(w[:input_dim].copy(), requires_grad=True)
+        self.w_z = Tensor(w[input_dim:].copy(), requires_grad=True)
+        self.b = Tensor(b, requires_grad=True)
+        self.act = ACTIVATIONS[activation]
+
+    def pixel_product(self, x: Tensor) -> Tensor:
+        return ad.linear(x, self.w_x, self.b)
+
+    def __call__(self, product: Tensor, z: Tensor) -> Tensor:
+        return self.act(ad.linear(z, self.w_z, product))
+
+    @property
+    def params(self) -> list[Tensor]:
+        return [self.w_x, self.w_z, self.b]
 
 
 class Mlp:
@@ -193,7 +229,10 @@ class DvaModel(FederatedModel):
         self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
         self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
 
-        self.h_trunk = Mlp(rng, (arch.input_dim + arch.d_z, *h), act)
+        # with a hidden layer, h's first one splits its weight by input
+        self.h_in = (PixelDense(rng, arch.input_dim, arch.d_z, h[0], act)
+                     if h else None)
+        self.h_trunk = Mlp(rng, h or (arch.input_dim + arch.d_z,), act)
         self.c_mu = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
         self.c_lv = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
 
@@ -213,12 +252,24 @@ class DvaModel(FederatedModel):
         hid = self.f_trunk(x)
         return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
 
-    def encode_c(self, x: Tensor, z: Tensor) -> DiagGaussian:
+    def pixel_product(self, x: Tensor) -> Tensor:
+        """x's share of h's first layer, x @ W_x + b, for every encode_c of
+        the batch x to take; x itself when h has no hidden layer."""
+        self._check_input(x)
+        return x if self.h_in is None else self.h_in.pixel_product(x)
+
+    def encode_c(self, x: Tensor, z: Tensor,
+                 product: Tensor | None = None) -> DiagGaussian:
+        """q(c|x, z); product is pixel_product(x), computed here if not
+        given."""
         self._check_input(x)
         if z.shape != (x.shape[0], self.arch.d_z):
             raise ShapeError(f"encode_c: z shape {z.shape} does not align with "
                              f"x rows {x.shape[0]} and d_z {self.arch.d_z}")
-        hid = self.h_trunk(x, z)
+        if product is None:
+            product = self.pixel_product(x)
+        hid = (self.h_trunk(product, z) if self.h_in is None
+               else self.h_trunk(self.h_in(product, z)))
         return DiagGaussian(self.c_mu(*hid), self.c_lv(*hid))
 
     def decode(self, z: Tensor, c: Tensor) -> Tensor:
@@ -258,7 +309,8 @@ class DvaModel(FederatedModel):
 
     @property
     def theta_c(self) -> list[Tensor]:
-        return self.h_trunk.params + self.c_mu.params + self.c_lv.params
+        first = self.h_in.params if self.h_in is not None else []
+        return first + self.h_trunk.params + self.c_mu.params + self.c_lv.params
 
     def shared_parameters(self) -> list[Tensor]:
         return self.theta_z + self.theta_c

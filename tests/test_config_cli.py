@@ -514,6 +514,25 @@ def test_eval_outputs_and_determinism(tmp_path):
     assert first == second
 
 
+def test_eval_of_a_one_client_run_writes_every_artifact(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--K", "1", "--m", "1", "--rounds", "1",
+                 "--epochs_per_phase", "1", "--batch_size", "16",
+                 "--toy_per_class", "8", "--toy_classes", "2",
+                 "--toy_height", "8", "--toy_width", "8", "--hidden_dims", "8",
+                 "--seed", "1", "--output_dir", str(out)]) == 0
+    assert main(["eval", "--output_dir", str(out)]) == 0
+    eval_dir = out / "eval"
+    assert sorted(p.name for p in eval_dir.iterdir()) == [
+        "embeddings.csv", "report.json", "traversal_client000.pgm"]
+    report = json.loads((eval_dir / "report.json").read_text())
+    # one client: a constraint estimate, nothing to separate
+    assert len(report["constraint_estimate_per_client"]) == 1
+    assert np.isfinite(report["constraint_estimate_per_client"][0])
+    for key in ("separation_ratio_z", "separation_ratio_c", "ratio_c_over_z"):
+        assert report[key] is None, key
+
+
 def test_eval_untrained_checkpoint_chance_accuracy(tmp_path):
     out = tmp_path / "run"
     text = FAST.replace("task = reconstruct", "task = classify") \

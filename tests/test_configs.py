@@ -1,6 +1,8 @@
-"""The workload config files: each runs as the README says, and the
-benchmark's copy of each workload matches its file."""
+"""The workload config files: each runs as the README says, its round-0
+theta is pinned, and the benchmark's copy of each workload matches its
+file."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from feddva.cli import main
 from feddva.config import ExperimentConfig
+from feddva.federation import init_run
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_FILES = sorted((ROOT / "configs").glob("*.txt"))
@@ -46,3 +49,22 @@ def test_config_file_trains_as_the_readme_says(path, tmp_path):
                  "--rounds", "0", "--output_dir", out]) == 0
     expected = from_file(path, seed="1", rounds="0", output_dir=out)
     assert (tmp_path / "run" / "config.txt").read_text() == expected.to_text()
+
+
+# seed-1 round-0 theta of each config file: its length and sha256 (numpy
+# 2.4.6); the split of the c encoder's first weight keeps both
+ROUND_ZERO = {
+    "classify": (35488, "3151f108921e675dabc4b2a7715d54cc"
+                        "08a8ffabf8c463dcdb9887095e51a3a2"),
+    "disentangle": (34192, "0d18c3039ac54848b486120c3d8e053a"
+                           "bf3059850ba479aadba495314616274d"),
+    "fullscale": (268304, "4efaf8f751ca92b5b022cd4ba64f8b35"
+                          "04db6328fd9a3eac31dffbbe89f76a78"),
+}
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.stem)
+def test_round_zero_theta_of_each_config_file(path):
+    theta = init_run(from_file(path, seed="1", output_dir="out")).theta
+    assert (theta.size, hashlib.sha256(theta.tobytes()).hexdigest()) == \
+        ROUND_ZERO[path.stem]

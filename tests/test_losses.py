@@ -102,6 +102,68 @@ def test_cross_entropy_grad_check():
     assert ok, err
 
 
+def test_bce_value_bitwise_and_gradient_from_its_softplus():
+    rng = np.random.default_rng(8)
+    l = rng.normal(scale=6.0, size=(7, 9))
+    l[0, :4] = [0.0, -0.0, 40.0, -40.0]
+    x = rng.uniform(0, 1, size=l.shape)
+    x[1] = rng.integers(0, 2, size=l.shape[1])
+    logits = Tensor(l.copy(), requires_grad=True)
+    out = ad.bce_logits(logits, Tensor(x))
+    former = np.asarray((np.maximum(l, 0.0) + np.log1p(np.exp(-np.abs(l)))
+                         - x * l).sum() / l.shape[0])
+    assert out.data.tobytes() == former.tobytes()
+    backward(out)
+    sigmoid = 0.5 * (1.0 + np.tanh(0.5 * l))
+    assert np.max(np.abs(logits.grad - (sigmoid - x) / l.shape[0])) <= 1e-15
+
+
+def test_cross_entropy_is_one_node_with_the_softmax_gradient():
+    rng = np.random.default_rng(9)
+    l = rng.normal(scale=3.0, size=(6, 5))
+    l[0] += 700.0  # the row shift keeps exp finite
+    labels = np.array([0, 4, 2, 2, 1, 3])
+    logits = Tensor(l.copy(), requires_grad=True)
+    ce = cross_entropy(logits, labels)
+    assert ce.op == "softmax-cross-entropy" and ce.parents == (logits,)
+    shifted = l - l.max(axis=1, keepdims=True)
+    log_softmax = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert ce.item() == pytest.approx(-log_softmax[np.arange(6), labels].mean(),
+                                      rel=1e-13)
+    backward(ce)
+    onehot = np.eye(5)[labels]
+    assert np.allclose(logits.grad, (np.exp(log_softmax) - onehot) / 6,
+                       rtol=0, atol=1e-15)
+    logits.data -= 700.0 * (np.arange(6) == 0)[:, None]
+    err, ok = grad_check(lambda: ad.scale(cross_entropy(logits, labels), 3.0),
+                         [logits])
+    assert ok, err
+
+
+def test_one_pixel_product_per_batch(monkeypatch):
+    m = tiny_model()
+    x = tiny_batch(n=4)
+    qz = m.encode_z(x)
+    real, products, completions = ad.linear, [], []
+
+    def spy(*operands):
+        if operands[-2] is m.h_in.w_x:
+            products.append(operands)
+        if operands[-2] is m.h_in.w_z:
+            completions.append(operands)
+        return real(*operands)
+
+    monkeypatch.setattr(ad, "linear", spy)
+    loss_feddva(x, qz, m, 0.5, 1.0, 1.0, np.random.default_rng(0), n_samples=2)
+    assert (len(products), len(completions)) == (1, 2)
+    products.clear()
+    completions.clear()
+    loss_classifier(x, qz, np.array([0, 1, 2, 0]), m, 0.5, 1.0, 1.0, 1.0,
+                    np.random.default_rng(0), n_samples=2)
+    # two ELBO draws and the head's encode_c(x, mu_z) share one product
+    assert (len(products), len(completions)) == (1, 3)
+
+
 # ------------------------------------------------------------- objectives
 
 

@@ -110,10 +110,17 @@ def test_separation_ratio_identical_points_is_zero():
     assert _separation_ratio(pts) == 0.0
 
 
-def test_clustering_report_requires_two_clients():
+def test_clustering_report_of_one_client_has_no_ratios():
     shards, _ = shards_and_model(k=3)
-    with pytest.raises(ValueError, match="2 clients"):
-        clustering_report(encode_shards(shards[:1]), xi=1.0)
+    one = clustering_report(encode_shards(shards[:1]), xi=1.0, mc_samples=500)
+    three = clustering_report(encode_shards(shards), xi=1.0, mc_samples=500)
+    assert one.separation_ratio_z is None and one.separation_ratio_c is None
+    assert one.to_json_dict()["ratio_c_over_z"] is None
+    # a client's estimate does not depend on the other clients
+    assert one.constraint_estimate_per_client == \
+        three.constraint_estimate_per_client[:1]
+    with pytest.raises(ValueError, match="no clients"):
+        clustering_report([], xi=1.0)
 
 
 def test_clustering_report_fields_and_determinism():

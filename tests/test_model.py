@@ -7,7 +7,7 @@ import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward
 from feddva.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                save_checkpoint)
-from feddva.gaussians import kl_to_standard
+from feddva.gaussians import DiagGaussian, kl_to_standard
 from feddva.config import METHODS
 from feddva.model import (MODEL_CLASS, ArchitectureConfig, DvaModel,
                           PixelClassifier, VanillaVaeModel)
@@ -67,6 +67,48 @@ def test_encode_c_shape_mismatch():
     m = fresh_model()
     with pytest.raises(ad.ShapeError, match="encode_c"):
         m.encode_c(batch(n=3), Tensor(np.zeros((2, ARCH.d_z))))
+
+
+def test_encode_c_over_the_pixel_product_matches_the_joint_layer():
+    m = fresh_model()
+    rng = np.random.default_rng(7)
+    for layer in (m.c_mu, m.c_lv):  # non-zero heads, so every path carries signal
+        layer.w.data = rng.uniform(-0.5, 0.5, layer.w.data.shape)
+    x = batch(n=5)
+    h_in = m.h_in
+    joint_w = Tensor(np.vstack([h_in.w_x.data, h_in.w_z.data]), requires_grad=True)
+    joint_b = Tensor(h_in.b.data.copy(), requires_grad=True)
+    z_data = rng.normal(size=(5, ARCH.d_z))
+
+    def run(encode):
+        z = Tensor(z_data, requires_grad=True)
+        q = encode(z)
+        backward(ad.sum_all(ad.square(q.mu)) + ad.sum_all(ad.square(q.log_var)))
+        return q, z.grad
+
+    split_q, split_gz = run(lambda z: m.encode_c(x, z, m.pixel_product(x)))
+    joint_q, joint_gz = run(lambda z: DiagGaussian(
+        *(head(h_in.act(ad.linear(x, z, joint_w, joint_b)))
+          for head in (m.c_mu, m.c_lv))))
+    for a, b in ((split_q.mu.data, joint_q.mu.data),
+                 (split_q.log_var.data, joint_q.log_var.data),
+                 (split_gz, joint_gz),
+                 (h_in.w_x.grad, joint_w.grad[:ARCH.input_dim]),
+                 (h_in.w_z.grad, joint_w.grad[ARCH.input_dim:]),
+                 (h_in.b.grad, joint_b.grad)):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_split_first_layer_keeps_the_joint_draws_and_layout():
+    # drawn as one (input_dim + d_z) x h weight, flattened pixel rows first
+    m = fresh_model(seed=3)
+    rng = np.random.default_rng(3)
+    rng.uniform(size=ARCH.input_dim * 8 + 8)  # f's first layer draws first
+    bound = 1.0 / np.sqrt(ARCH.input_dim + ARCH.d_z)
+    joint = rng.uniform(-bound, bound, (ARCH.input_dim + ARCH.d_z, 8))
+    assert np.array_equal(np.vstack([m.h_in.w_x.data, m.h_in.w_z.data]), joint)
+    theta_c = np.concatenate([p.data.reshape(-1) for p in m.theta_c])
+    assert np.array_equal(theta_c[:joint.size], joint.reshape(-1))
 
 
 def test_decode_range_and_shape():
