@@ -97,34 +97,16 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalar operands become constant affine ops
+    # operator sugar; a scalar operand becomes a constant shift
     def __add__(self, other):
         if isinstance(other, Tensor):
             return add(self, other)
         return shift(self, float(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return sub(self, other)
         return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _by_index = attrgetter("_index")
@@ -393,16 +375,18 @@ def linear(*operands: Tensor) -> Tensor:
         raise ShapeError(f"linear: needs input parts, w and b; got "
                          f"{len(operands)} operands")
     *xs, w, b = operands
-    if (w.data.ndim != 2
-            or any(x.data.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs)
-            or sum(x.shape[1] for x in xs) != w.shape[0]):
-        shapes = " | ".join(str(x.shape) for x in xs)
-        raise ShapeError(f"linear: shapes {shapes} @ {w.shape} do not conform")
-    out_shape = (xs[0].shape[0], w.shape[1])
-    full = b.shape == out_shape
-    if not full and (b.data.ndim > 2 or b.data.size != w.shape[1]):
-        raise ShapeError(f"linear: bias shape {b.shape} matches neither the "
-                         f"columns of {w.shape} nor the output {out_shape}")
+    shapes = [x.data.shape for x in xs]  # each read once, for every layer
+    w_shape, b_shape = w.data.shape, b.data.shape
+    if (len(w_shape) != 2
+            or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes)
+            or sum(s[1] for s in shapes) != w_shape[0]):
+        parts = " | ".join(str(s) for s in shapes)
+        raise ShapeError(f"linear: shapes {parts} @ {w_shape} do not conform")
+    out_shape = (shapes[0][0], w_shape[1])
+    full = b_shape == out_shape
+    if not full and (len(b_shape) > 2 or b.data.size != w_shape[1]):
+        raise ShapeError(f"linear: bias shape {b_shape} matches neither the "
+                         f"columns of {w_shape} nor the output {out_shape}")
     x = xs[0].data if len(xs) == 1 else np.concatenate([p.data for p in xs],
                                                        axis=1)
     out = x @ w.data
@@ -410,13 +394,13 @@ def linear(*operands: Tensor) -> Tensor:
 
     def back(g):
         grads, at = [], 0
-        for p in xs:
-            rows = w.data[at:at + p.shape[1]]
+        for p, s in zip(xs, shapes):
+            rows = w.data[at:at + s[1]]
             grads.append(g @ rows.T if p.requires_grad else None)
-            at += p.shape[1]
+            at += s[1]
         g_b = None
         if b.requires_grad:
-            g_b = g if full else g.sum(axis=0).reshape(b.shape)
+            g_b = g if full else g.sum(axis=0).reshape(b_shape)
         return (*grads, x.T @ g if w.requires_grad else None, g_b)
 
     return Tensor._from_op(out, "linear", (*xs, w, b), back)
@@ -480,11 +464,3 @@ OP_TABLE: dict[str, Callable[..., Tensor]] = {
     "linear": linear,
     "bce-logits": bce_logits,
 }
-
-
-def forward_op(kind: str, *inputs: Tensor) -> Tensor:
-    try:
-        fn = OP_TABLE[kind]
-    except KeyError:
-        raise ValueError(f"forward_op: unknown op kind {kind!r}") from None
-    return fn(*inputs)

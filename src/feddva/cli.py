@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__, blas
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .federation import (ServerState, blank_run, finalize, init_run,
-                         run_rounds, worker_count)
+from .federation import (ClientError, ServerState, blank_run, finalize,
+                         init_run, run_rounds, worker_count)
 from .metrics import (accuracy_per_client, clustering_report, encode_shards,
                       export_accuracy_csv, export_embeddings_csv,
                       export_grid_image, latent_traversal, write_report_json)
@@ -110,6 +110,14 @@ def _resume_config(args) -> ExperimentConfig:
 
 def _ckpt_dir(out_dir: Path, round_idx: int) -> Path:
     return out_dir / "checkpoints" / f"round_{round_idx:05d}"
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Write path through a temporary file renamed into place, so a kill
+    leaves the old file or the new one, never a torn one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def _round_of(ckpt_dir: Path) -> int | None:
@@ -211,7 +219,7 @@ def write_manifest(cfg: ExperimentConfig, out_dir: Path,
             print("warning: --resume: numeric stack differs from "
                   "manifest.json, so the continuation is not bitwise: "
                   + "; ".join(changed), file=sys.stderr)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _replace_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------- train
@@ -235,7 +243,7 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
             if stale.is_dir():
                 shutil.rmtree(stale)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(cfg.to_text())
+    _replace_text(out_dir / "config.txt", cfg.to_text())
     write_manifest(cfg, out_dir, resume)
 
     # on resume, drop a torn (unterminated) last line and every line past
@@ -244,9 +252,8 @@ def cmd_train(cfg: ExperimentConfig, resume: bool = False) -> int:
     text = history_path.read_text() if resume and history_path.exists() else ""
     kept = [line for line in text[:text.rfind("\n") + 1].splitlines()
             if line and json.loads(line)["round"] <= state.round]
-    history_path.write_text("".join(k + "\n" for k in kept))
-    if state.plan is not None:
-        (out_dir / "partition.json").write_text(state.plan.to_json() + "\n")
+    _replace_text(history_path, "".join(k + "\n" for k in kept))
+    _replace_text(out_dir / "partition.json", state.plan.to_json() + "\n")
 
     history_file = open(history_path, "a")
 
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
         if args.resume:
             return cmd_train(_resume_config(args), resume=True)
         return cmd_train(_build_config(args))
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ClientError, ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

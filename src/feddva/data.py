@@ -207,9 +207,9 @@ def apply_mark(image: np.ndarray, spec: MarkSpec) -> np.ndarray:
     return np.maximum(image, np.where(mask, min(spec.intensity, 1.0), 0.0))
 
 
-def default_marks(height: int, width: int | None = None) -> list[MarkSpec]:
+def default_marks(height: int, width: int) -> list[MarkSpec]:
     # amplitude off the smaller side so the 1.5x ellipse axis always fits
-    amp = min(height, width if width is not None else height) / 4.0
+    amp = min(height, width) / 4.0
     return [
         MarkSpec("horizontal-sinusoid", amplitude=amp),
         MarkSpec("ellipse", amplitude=amp),
@@ -257,7 +257,6 @@ def _finalize_shards(ds, assignments, marks, seed, holdout_frac, scheme,
 
 
 def partition_uniform_marked(ds: Dataset, n_clients: int, seed: int,
-                             marks: list[MarkSpec] | None = None,
                              holdout_frac: float = 0.2):
     """Uniform disjoint split; client k gets mark k cycling the four kinds."""
     n = ds.images.shape[0]
@@ -265,9 +264,8 @@ def partition_uniform_marked(ds: Dataset, n_clients: int, seed: int,
         raise ValueError(f"partition: {n} samples cannot give {n_clients} "
                          f"clients {MIN_PER_MARKED_CLIENT} each; need "
                          f"1 <= clients <= {n // MIN_PER_MARKED_CLIENT}")
-    if marks is None:
-        base = default_marks(ds.images.shape[1], ds.images.shape[2])
-        marks = [base[k % len(base)] for k in range(n_clients)]
+    base = default_marks(ds.images.shape[1], ds.images.shape[2])
+    marks = [base[k % len(base)] for k in range(n_clients)]
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     splits = np.array_split(perm, n_clients)
@@ -277,20 +275,19 @@ def partition_uniform_marked(ds: Dataset, n_clients: int, seed: int,
 
 
 def partition_label_skew(ds: Dataset, n_clients: int, concentration: float,
-                         seed: int, holdout_frac: float = 0.2,
-                         min_per_client: int = MIN_PER_CLIENT):
+                         seed: int, holdout_frac: float = 0.2):
     """Dirichlet label skew: per class, fractions over clients ~ Dir(conc).
 
     A minimal top-up moves samples from the largest shards until every
-    client holds at least min_per_client, since the objective needs
+    client holds at least MIN_PER_CLIENT, since the objective needs
     batches of two or more.
     """
     n = ds.images.shape[0]
     if n_clients < 1 or concentration <= 0:
         raise ValueError(f"partition: clients >= 1 and concentration > 0 "
                          f"required, got {n_clients}, {concentration}")
-    if n_clients * min_per_client > n:
-        raise ValueError(f"partition: {n_clients} clients x {min_per_client} "
+    if n_clients * MIN_PER_CLIENT > n:
+        raise ValueError(f"partition: {n_clients} clients x {MIN_PER_CLIENT} "
                          f"min samples exceeds dataset size {n}")
     rng = np.random.default_rng(seed)
     n_classes = ds.n_classes
@@ -307,7 +304,7 @@ def partition_label_skew(ds: Dataset, n_clients: int, concentration: float,
     # top-up: move one sample at a time from the largest shard
     while True:
         sizes = {k: len(v) for k, v in buckets.items()}
-        poor = [k for k, s in sizes.items() if s < min_per_client]
+        poor = [k for k, s in sizes.items() if s < MIN_PER_CLIENT]
         if not poor:
             break
         rich = max(sizes, key=sizes.get)

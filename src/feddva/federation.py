@@ -26,7 +26,7 @@ FedAvg is the case with no local group: a phase whose group is empty is
 skipped, so its client runs phase 2 alone, which steps every parameter.
 
 After the last round, finalize applies each method's end-of-run rule; the
-in-memory run, the CLI's eval of a checkpoint and the scripts all use it.
+in-memory run and the CLI's eval of a checkpoint both use it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ import numpy as np
 
 from . import blas
 from .autodiff import Tensor, backward, sgd_step
-from .data import (ClientShard, Dataset, load_idx_dataset, make_toy_digits,
-                   partition_label_skew, partition_uniform_marked)
+from .data import (ClientShard, Dataset, PartitionPlan, load_idx_dataset,
+                   make_toy_digits, partition_label_skew,
+                   partition_uniform_marked)
 from .gaussians import DiagGaussian
 from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
                      loss_feddva, loss_vanilla_vae)
@@ -75,8 +76,8 @@ class ServerState:
     round: int
     shards: list[ClientShard]
     arch: ArchitectureConfig
+    plan: PartitionPlan
     history: list[RoundRecord] = field(default_factory=list)
-    plan: object | None = None
 
 
 def sample_clients(rng: np.random.Generator, n_clients: int, m: int) -> list[int]:
@@ -126,14 +127,17 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
     gradients only to the stepped group, which sgd_step then clears. Every
     flag is restored on return, also when loss_fn raises. A record keeps the
     value of ``total``, not its graph.
+
+    A non-finite ``total`` raises FloatingPointError, naming the phase (1
+    or 2), epoch and batch (from 1), before it can reach a parameter.
     """
     everything = list(local_params) + list(shared_params)
     flags = [p.requires_grad for p in everything]
     records, seconds = [], {}
     try:
-        for phase, params, frozen, lr in (
+        for number, (phase, params, frozen, lr) in enumerate((
                 ("local", local_params, shared_params, lr_local),
-                ("shared", shared_params, local_params, lr_shared)):
+                ("shared", shared_params, local_params, lr_shared)), 1):
             if not params:
                 continue
             start = time.perf_counter()
@@ -142,9 +146,13 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
             for p in frozen:
                 p.requires_grad = False
             for epoch in range(epochs_per_phase):
-                for batch in batch_stream(phase, epoch):
+                for b, batch in enumerate(batch_stream(phase, epoch), 1):
                     out = loss_fn(batch)
                     total = out.total if hasattr(out, "total") else out
+                    if not np.isfinite(total.data):
+                        raise FloatingPointError(
+                            f"non-finite loss {total.item()} in phase "
+                            f"{number}, epoch {epoch + 1}, batch {b}")
                     backward(total)
                     sgd_step(params, lr)
                     if phase == "shared":
@@ -305,9 +313,12 @@ def _serve(conn, parent_ends, cfg, shards) -> None:
         try:
             reply = _update_clients(cfg, shards, *message)
         except ClientError as exc:
-            detail = "".join(traceback.format_exception(exc.__cause__))
-            reply = ClientError(f"{exc}\n\nin worker process "
-                                f"{os.getpid()}:\n{detail}")
+            reply = exc
+            # a non-finite loss is a fault of the run, not of the program
+            if not isinstance(exc.__cause__, FloatingPointError):
+                detail = "".join(traceback.format_exception(exc.__cause__))
+                reply = ClientError(f"{exc}\n\nin worker process "
+                                    f"{os.getpid()}:\n{detail}")
         conn.send(reply)
 
 

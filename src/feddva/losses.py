@@ -20,7 +20,7 @@ whose z encoder is frozen can encode its data once and pass constant rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,22 +51,14 @@ class LossBreakdown:
         return self.kl_c_to_qc - self.kl_c_to_mixture
 
     def to_row(self) -> dict[str, float]:
-        return {
-            "total": self.total.item(),
-            "recon": self.recon,
-            "r_z": self.r_z,
-            "r_c": self.r_c,
-            "kl_c_to_qc": self.kl_c_to_qc,
-            "kl_c_to_mixture": self.kl_c_to_mixture,
-            "constraint_slack": self.constraint_slack,
-            "cross_entropy": self.cross_entropy,
-        }
+        """Every field by name, ``total`` as its value, not its tensor."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["total"] = self.total.item()
+        return row
 
 
 def bce_recon(logits: Tensor, x: Tensor) -> Tensor:
     """Pixel-sum, batch-mean binary cross-entropy of x under Bernoulli logits."""
-    if logits.shape != x.shape:
-        raise ad.ShapeError(f"bce: prediction {logits.shape} vs target {x.shape}")
     return ad.bce_logits(logits, x)
 
 

@@ -33,10 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ClientShard
 from .seeding import make_rng
+
+# the Monte-Carlo draws of each client's mixture-to-prior KL, and the most
+# components of its mixture, a random subset of a larger shard
+MC_SAMPLES = 10_000
+MAX_MIXTURE_COMPONENTS = 128
 
 
 @dataclass
@@ -118,8 +122,9 @@ def latent_traversal(shard: ClientShard, code: ShardCodes, anchor: int,
     c_cols = np.stack([c_mu[anchor] + o * dir_c for o in offsets])
     for i in range(steps):
         z_batch = np.repeat(z_rows[i][None, :], steps, axis=0)
-        out = ad.sigmoid(shard.model.decode(Tensor(z_batch), Tensor(c_cols)))
-        grid[i] = out.data.reshape(grid.shape[1:])
+        logits = shard.model.decode(Tensor(z_batch), Tensor(c_cols)).data
+        # the sigmoid in ad.sigmoid's tanh form, with no graph node
+        grid[i] = (0.5 * (1.0 + np.tanh(0.5 * logits))).reshape(grid.shape[1:])
     return grid
 
 
@@ -179,8 +184,7 @@ def mixture_kl_to_standard_mc(mus: np.ndarray, sigmas: np.ndarray,
 
 
 def clustering_report(codes: list[ShardCodes], xi: float,
-                      mc_samples: int = 10_000, seed: int = 0,
-                      max_mixture_components: int = 128) -> DisentanglementReport:
+                      seed: int = 0) -> DisentanglementReport:
     """Per-client clustering of c vs client-invariance of z, plus the
     Monte-Carlo estimate of each client's mixture-to-prior KL; one client
     has nothing to separate, so its report gives no separation ratios."""
@@ -196,11 +200,11 @@ def clustering_report(codes: list[ShardCodes], xi: float,
         mus = code.c_mu
         sigmas = np.exp(code.c_log_var / 2.0)
         rng = make_rng(seed, "mixture-kl", code.shard_id)
-        if mus.shape[0] > max_mixture_components:
-            keep = rng.choice(mus.shape[0], size=max_mixture_components,
+        if mus.shape[0] > MAX_MIXTURE_COMPONENTS:
+            keep = rng.choice(mus.shape[0], size=MAX_MIXTURE_COMPONENTS,
                               replace=False)
             mus, sigmas = mus[keep], sigmas[keep]
-        estimates.append(mixture_kl_to_standard_mc(mus, sigmas, mc_samples, rng))
+        estimates.append(mixture_kl_to_standard_mc(mus, sigmas, MC_SAMPLES, rng))
     met = float(np.mean([e >= xi for e in estimates]))
     several = len(codes) > 1
     return DisentanglementReport(

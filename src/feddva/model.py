@@ -174,7 +174,7 @@ def _load(params: list[Tensor], flat: np.ndarray, what: str) -> None:
     at = 0
     for p in params:
         n = p.data.size
-        p.data = flat[at:at + n].reshape(p.data.shape).astype(np.float64).copy()
+        p.data = flat[at:at + n].reshape(p.data.shape).astype(np.float64)
         at += n
 
 

@@ -22,7 +22,8 @@ from .losses import loss_feddva
 from .model import ArchitectureConfig, DvaModel
 
 
-def _finite_diff(loss_fn, params, h=1e-4):
+def _finite_diff(loss_fn, params):
+    h = 1e-4  # central-difference step
     grads = []
     for p in params:
         g = np.zeros_like(p.data)
@@ -39,7 +40,7 @@ def _finite_diff(loss_fn, params, h=1e-4):
     return grads
 
 
-def _grad_ok(loss_fn, params, tol=1e-4):
+def _grad_ok(loss_fn, params):
     zero_grads(params)
     backward(loss_fn())
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
@@ -50,7 +51,7 @@ def _grad_ok(loss_fn, params, tol=1e-4):
     for a, n in zip(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst < tol, f"max rel err {worst:.2e}"
+    return worst < 1e-4, f"max rel err {worst:.2e}"
 
 
 # operand shapes of one sample input per op kind, for every finite-difference
@@ -80,7 +81,7 @@ OP_SAMPLE_SHAPES: dict[str, list[tuple[int, int]]] = {
 
 def check_op_gradients():
     rng = np.random.default_rng(0)
-    for kind in ad.OP_TABLE:
+    for kind, op in ad.OP_TABLE.items():
         shapes = OP_SAMPLE_SHAPES[kind]
         for _ in range(3):
             if kind == "log":
@@ -93,8 +94,8 @@ def check_op_gradients():
             else:
                 args = [Tensor(rng.uniform(-1, 1, s), requires_grad=True)
                         for s in shapes]
-            ok, detail = _grad_ok(
-                lambda: ad.sum_all(ad.square(ad.forward_op(kind, *args))), args)
+            ok, detail = _grad_ok(lambda: ad.sum_all(ad.square(op(*args))),
+                                  args)
             if not ok:
                 return False, f"{kind}: {detail}"
     return True, f"{len(ad.OP_TABLE)} op kinds x 3 seeds"

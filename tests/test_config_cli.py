@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -20,6 +22,11 @@ from feddva.federation import run_experiment, worker_count
 from feddva.metrics import accuracy_per_client, export_accuracy_csv, parse_pgm
 from feddva.model import DvaModel
 from feddva.selftest import run_selftest
+
+
+# scripts/fingerprint.py's table of a run directory: (sha256, name) pairs
+FINGERPRINT = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                                 / "scripts/fingerprint.py"))["fingerprint"]
 
 
 def write_cfg(tmp_path, text):
@@ -414,20 +421,18 @@ def test_manifest_records_workers_and_train_threads(tmp_path, capsys):
 
 
 def _resume_matches_full_run(tmp_path, kill) -> None:
-    """Train FAST in full, and again with `kill(out)` applied to the finished
-    second run's files; --resume must then reproduce the full run."""
-    runs = {name: tmp_path / name for name in ("full", "killed")}
-    cfgs = {name: load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
-            for name, out in runs.items()}
-    for cfg in cfgs.values():
-        cmd_train(cfg)
-    kill(runs["killed"])
-    assert cmd_train(cfgs["killed"], resume=True) == 0
-    assert _history_without_walltime(runs["full"] / "history.jsonl") == \
-        _history_without_walltime(runs["killed"] / "history.jsonl")
-    for f in ("shared.ckpt", "client_000.ckpt", "client_001.ckpt"):
-        assert (runs["full"] / "checkpoints/round_00003" / f).read_bytes() == \
-            (runs["killed"] / "checkpoints/round_00003" / f).read_bytes()
+    """Train FAST in full, then again in the same directory with `kill(out)`
+    applied to the finished run's files; --resume must then give the full
+    run's fingerprint table."""
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cmd_train(cfg)
+    full = FINGERPRINT(out)
+    shutil.rmtree(out)
+    cmd_train(cfg)
+    kill(out)
+    assert cmd_train(cfg, resume=True) == 0
+    assert FINGERPRINT(out) == full
 
 
 def test_resume_drops_torn_history_line(tmp_path):
@@ -447,6 +452,67 @@ def test_resume_skips_partial_round_directory(tmp_path):
         (out / "checkpoints/round_00003/client_001.ckpt").unlink()
 
     _resume_matches_full_run(tmp_path, kill_while_saving_round_3)
+
+
+class _Killed(BaseException):
+    """Stands in for a kill: nothing in the program handles it."""
+
+
+@pytest.mark.parametrize("name", ["config.txt", "manifest.json",
+                                  "history.jsonl"])
+def test_resume_survives_a_kill_while_resume_rewrites(tmp_path, monkeypatch,
+                                                      name):
+    # 2 rounds, then --resume --rounds 3 stopped half-way through writing
+    # `name` (or a temporary file for it); resuming again must still give
+    # the table of a straight 3-round run
+    out = tmp_path / "run"
+    train = ["train", "--config", str(write_cfg(tmp_path, FAST)),
+             "--checkpoint_every", "1", "--output_dir", str(out)]
+    assert main(train) == 0
+    full = FINGERPRINT(out)
+    shutil.rmtree(out)
+    assert main(train + ["--rounds", "2"]) == 0
+    write_text = Path.write_text
+
+    def torn(path, text, *args, **kwargs):
+        if name in path.name:
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise _Killed
+        return write_text(path, text, *args, **kwargs)
+
+    resume = ["train", "--resume", "--output_dir", str(out), "--rounds", "3"]
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", torn)
+        with pytest.raises(_Killed):
+            main(resume)
+    assert main(resume) == 0
+    assert FINGERPRINT(out) == full
+
+
+def test_non_finite_loss_stops_train_at_the_last_good_checkpoint(tmp_path,
+                                                                capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--K", "2", "--m", "2", "--rounds", "2",
+            "--epochs_per_phase", "1", "--batch_size", "16",
+            "--toy_per_class", "8", "--toy_classes", "2", "--toy_height", "8",
+            "--toy_width", "8", "--hidden_dims", "8", "--seed", "1",
+            "--lr_eta", "1e6", "--lr_lambda", "1e6", "--checkpoint_every", "1",
+            "--output_dir", str(out)]
+    message = re.compile(r"^error: client \d failed in round 2: "
+                         r"FloatingPointError: non-finite loss \S+ in phase "
+                         r"[12], epoch 1, batch \d+$", re.M)
+    for args in (argv, ["train", "--resume", "--output_dir", str(out)]):
+        with np.errstate(all="ignore"):
+            assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message.search(err) and "Traceback" not in err
+        # round 2 left no history line and no checkpoint, so a resume
+        # starts from round 1's and fails the same way
+        rows = [json.loads(line, parse_constant=pytest.fail) for line in
+                (out / "history.jsonl").read_text().splitlines()]
+        assert [row["round"] for row in rows] == [1]
+        assert [d.name for d in (out / "checkpoints").iterdir()] == \
+            ["round_00001"]
 
 
 # label-skewed and large enough that fedavg-ft's fine-tune changes accuracy

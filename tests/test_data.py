@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from feddva.data import (MARK_KINDS, ClientShard, Dataset, IdxFormatError,
-                         MarkSpec, PartitionPlan, apply_mark, default_marks,
-                         load_idx_dataset, make_toy_digits, mark_mask,
-                         parse_idx, partition_label_skew,
+from feddva.data import (MARK_KINDS, MIN_PER_CLIENT, ClientShard, Dataset,
+                         IdxFormatError, MarkSpec, PartitionPlan, apply_mark,
+                         default_marks, load_idx_dataset, make_toy_digits,
+                         mark_mask, parse_idx, partition_label_skew,
                          partition_uniform_marked, write_idx)
 from oracles import (dataset_mean_bce, ellipse_pixels, shards_per_image,
                      sinusoid_pixels, toy_digits_per_sample)
@@ -224,7 +224,7 @@ def test_label_skew_low_concentration_is_skewed():
     ds = toy(n_per_class=100, n_classes=4)
     for seed in range(5):
         shards, _ = partition_label_skew(ds, 20, concentration=0.1, seed=seed,
-                                         holdout_frac=0.0, min_per_client=2)
+                                         holdout_frac=0.0)
         found = False
         for s in shards:
             counts = np.sort(np.bincount(s.labels, minlength=4))[::-1]
@@ -237,14 +237,14 @@ def test_label_skew_low_concentration_is_skewed():
 def test_label_skew_min_per_client_topup():
     ds = toy(n_per_class=30, n_classes=4)
     shards, _ = partition_label_skew(ds, 12, concentration=0.05, seed=6,
-                                     holdout_frac=0.0, min_per_client=4)
-    assert all(s.n >= 4 for s in shards)
+                                     holdout_frac=0.0)
+    assert all(s.n >= MIN_PER_CLIENT for s in shards)
 
 
 def test_label_skew_infeasible():
     ds = toy(n_per_class=2, n_classes=2, h=8, w=8)
     with pytest.raises(ValueError, match="exceeds dataset size"):
-        partition_label_skew(ds, 5, 0.5, seed=0, min_per_client=4)
+        partition_label_skew(ds, 5, 0.5, seed=0)
 
 
 def test_plan_json_round_trip():

@@ -204,6 +204,27 @@ def test_two_phase_restores_flags_when_loss_raises():
         assert local[0].requires_grad and shared[0].requires_grad
 
 
+def test_two_phase_stops_at_a_non_finite_loss_before_stepping():
+    a = Tensor(np.asarray(1.0), requires_grad=True)
+    b = Tensor(np.asarray(1.0), requires_grad=True)
+
+    def loss_fn(batch):
+        loss = ad.add(a, b)
+        return ad.shift(loss, np.nan) if batch == ("shared", 1, 2) else loss
+
+    def stream(phase, epoch):
+        for i in (1, 2, 3):
+            yield phase, epoch, i
+
+    with pytest.raises(FloatingPointError, match=r"^non-finite loss nan in "
+                       r"phase 2, epoch 2, batch 2$"):
+        two_phase_update(loss_fn, stream, [a], [b], 0.5, 0.25, 2)
+    # a took its 6 steps; b its 3 of epoch 1 and 1 of epoch 2, not the NaN
+    assert a.item() == 1.0 - 6 * 0.5
+    assert b.item() == 1.0 - 4 * 0.25
+    assert a.requires_grad and b.requires_grad
+
+
 def test_two_phase_skips_a_phase_with_an_empty_group():
     a = Tensor(np.asarray(1.0), requires_grad=True)
     phases = []

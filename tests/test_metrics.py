@@ -112,8 +112,8 @@ def test_separation_ratio_identical_points_is_zero():
 
 def test_clustering_report_of_one_client_has_no_ratios():
     shards, _ = shards_and_model(k=3)
-    one = clustering_report(encode_shards(shards[:1]), xi=1.0, mc_samples=500)
-    three = clustering_report(encode_shards(shards), xi=1.0, mc_samples=500)
+    one = clustering_report(encode_shards(shards[:1]), xi=1.0)
+    three = clustering_report(encode_shards(shards), xi=1.0)
     assert one.separation_ratio_z is None and one.separation_ratio_c is None
     assert one.to_json_dict()["ratio_c_over_z"] is None
     # a client's estimate does not depend on the other clients
@@ -126,8 +126,8 @@ def test_clustering_report_of_one_client_has_no_ratios():
 def test_clustering_report_fields_and_determinism():
     shards, _ = shards_and_model()
     codes = encode_shards(shards)
-    a = clustering_report(codes, xi=0.5, mc_samples=2000, seed=3)
-    b = clustering_report(codes, xi=0.5, mc_samples=2000, seed=3)
+    a = clustering_report(codes, xi=0.5, seed=3)
+    b = clustering_report(codes, xi=0.5, seed=3)
     assert a == b
     assert isinstance(a, DisentanglementReport)
     assert a.separation_ratio_c >= 0 and a.separation_ratio_z >= 0
