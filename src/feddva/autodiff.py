@@ -255,10 +255,6 @@ def shift(a: Tensor, s: float) -> Tensor:
     return Tensor._from_op(a.data + s, "shift", (a,), back)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def relu(a: Tensor) -> Tensor:
     # max(x, 0) maps -0.0 to +0.0 like a select on x > 0, and keeps NaN
     y = np.maximum(a.data, 0.0)

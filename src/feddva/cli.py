@@ -304,7 +304,8 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_dir: str | None = None) -> int:
         accs, mean, std = accuracy_per_client(state.shards,
                                               latents=cfg.classifier_latents)
         export_accuracy_csv(accs, mean, std, eval_dir / "accuracy.csv")
-        print(f"eval: held-out accuracy mean={mean:.4f} std={std:.4f}")
+        if mean is not None:
+            print(f"eval: held-out accuracy mean={mean:.4f} std={std:.4f}")
     print(f"eval: artifacts in {eval_dir}")
     return 0
 

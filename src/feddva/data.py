@@ -75,7 +75,6 @@ class ClientShard:
     holdout_images: np.ndarray
     holdout_labels: np.ndarray
     weight: float = 0.0
-    mark: MarkSpec | None = None
     model: object | None = None  # persistent local decoder/head state
 
     @property
@@ -84,11 +83,6 @@ class ClientShard:
 
     def flat_images(self) -> np.ndarray:
         return self.images.reshape(self.n, self.images[0].size)
-
-    def flat_holdout(self) -> np.ndarray:
-        n_hold = self.holdout_images.shape[0]
-        return self.holdout_images.reshape(
-            n_hold, self.images[0].size if self.images.size else 0)
 
 
 @dataclass
@@ -103,14 +97,6 @@ class PartitionPlan:
             "assignments": {str(k): v for k, v in self.assignments.items()},
             "class_fractions": self.class_fractions,
         }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionPlan":
-        raw = json.loads(text)
-        return cls(scheme=raw["scheme"],
-                   assignments={int(k): list(v)
-                                for k, v in raw["assignments"].items()},
-                   class_fractions=raw["class_fractions"])
 
 
 # ----------------------------------------------------------------- IDX
@@ -238,14 +224,12 @@ def _finalize_shards(ds, assignments, marks, seed, holdout_frac, scheme,
         idx = np.asarray(assignments[k], dtype=int)
         images = ds.images[idx]
         labels = ds.labels[idx]
-        mark = marks[k] if marks else None
-        if mark is not None:
-            images = apply_mark(images, mark)
+        if marks:
+            images = apply_mark(images, marks[k])
         rng = make_rng(seed, "holdout", k)
         tr_i, tr_l, ho_i, ho_l = _split_holdout(images, labels, holdout_frac, rng)
         shards.append(ClientShard(id=k, images=tr_i, labels=tr_l,
-                                  holdout_images=ho_i, holdout_labels=ho_l,
-                                  mark=mark))
+                                  holdout_images=ho_i, holdout_labels=ho_l))
     total = sum(s.n for s in shards)
     for s in shards:
         s.weight = s.n / total

@@ -504,9 +504,8 @@ def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
                 for k in sampled:
                     shard = state.shards[k]
                     shard.model.load_shared(state.theta)
-                    client_stats[k]["accuracy"] = (
-                        accuracy(shard, cfg.classifier_latents)
-                        if shard.holdout_images.shape[0] else None)
+                    client_stats[k]["accuracy"] = accuracy(
+                        shard, cfg.classifier_latents)
             record = RoundRecord(round=r, sampled=sampled,
                                  clients=client_stats,
                                  wall_time=time.monotonic() - start)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
 
@@ -55,10 +54,6 @@ class DiagGaussian:
     @property
     def batch(self) -> int:
         return self.mu.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[-1]
 
 
 def reparameterize(q: DiagGaussian, rng: np.random.Generator) -> Tensor:
@@ -90,16 +85,6 @@ def kl_to_standard(q: DiagGaussian) -> Tensor:
     core = mu.data * mu.data - lv.data + var - 1.0
     return Tensor._from_op(np.asarray(core.sum() * scale), "kl-to-standard",
                            (mu, lv), back)
-
-
-def kl_pairwise(q_i: DiagGaussian, q_j: DiagGaussian) -> Tensor:
-    """Closed-form KL(q_i || q_j) for two rows of the same dimension."""
-    if q_i.mu.shape != q_j.mu.shape:
-        raise ShapeError(f"kl_pairwise: rows {q_i.mu.shape} vs {q_j.mu.shape}")
-    lv_diff = ad.sub(q_i.log_var, q_j.log_var)
-    mahal = ad.mul(ad.square(ad.sub(q_i.mu, q_j.mu)), ad.exp(ad.neg(q_j.log_var)))
-    core = mahal - lv_diff + ad.exp(lv_diff) - 1.0
-    return ad.scale(ad.sum_all(core), 0.5)
 
 
 def mixture_bound_batch_mean(batch: DiagGaussian) -> Tensor:

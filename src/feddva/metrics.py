@@ -46,7 +46,7 @@ MAX_MIXTURE_COMPONENTS = 128
 @dataclass
 class DisentanglementReport:
     """The separation ratios compare clients: None (null in JSON) for a
-    run of one client."""
+    run of one client, and for a ratio over a zero spread."""
     separation_ratio_z: float | None
     separation_ratio_c: float | None
     constraint_estimate_per_client: list[float]
@@ -58,8 +58,7 @@ class DisentanglementReport:
         return {
             "separation_ratio_z": z,
             "separation_ratio_c": c,
-            "ratio_c_over_z": (None if z is None
-                               else c / z if z > 0 else math.inf),
+            "ratio_c_over_z": c / z if z and c is not None else None,
             "constraint_estimate_per_client": self.constraint_estimate_per_client,
             "fraction_constraint_met": self.fraction_constraint_met,
             "xi": self.xi,
@@ -128,8 +127,9 @@ def latent_traversal(shard: ClientShard, code: ShardCodes, anchor: int,
     return grid
 
 
-def _separation_ratio(per_client: list[np.ndarray]) -> float:
-    """Mean pairwise inter-centroid distance over mean within-client spread."""
+def _separation_ratio(per_client: list[np.ndarray]) -> float | None:
+    """Mean pairwise inter-centroid distance over mean within-client spread;
+    0 when all points coincide, None for distinct points with no spread."""
     centroids = [p.mean(axis=0) for p in per_client]
     inter = []
     for i in range(len(centroids)):
@@ -140,7 +140,7 @@ def _separation_ratio(per_client: list[np.ndarray]) -> float:
     mean_intra = float(np.mean(intra))
     mean_inter = float(np.mean(inter))
     if mean_intra == 0.0:
-        return 0.0 if mean_inter == 0.0 else math.inf
+        return 0.0 if mean_inter == 0.0 else None
     return mean_inter / mean_intra
 
 
@@ -204,7 +204,11 @@ def clustering_report(codes: list[ShardCodes], xi: float,
             keep = rng.choice(mus.shape[0], size=MAX_MIXTURE_COMPONENTS,
                               replace=False)
             mus, sigmas = mus[keep], sigmas[keep]
-        estimates.append(mixture_kl_to_standard_mc(mus, sigmas, MC_SAMPLES, rng))
+        estimate = mixture_kl_to_standard_mc(mus, sigmas, MC_SAMPLES, rng)
+        if not math.isfinite(estimate):
+            raise ValueError(f"clustering_report: constraint estimate of client "
+                             f"{code.shard_id} is {estimate}: diverged model?")
+        estimates.append(estimate)
     met = float(np.mean([e >= xi for e in estimates]))
     several = len(codes) > 1
     return DisentanglementReport(
@@ -216,22 +220,26 @@ def clustering_report(codes: list[ShardCodes], xi: float,
     )
 
 
-def accuracy(shard: ClientShard, latents: str) -> float:
+def accuracy(shard: ClientShard, latents: str) -> float | None:
     """Share of the shard's held-out rows whose largest logit under
-    shard.model is their label."""
-    if shard.holdout_images.shape[0] == 0:
-        raise ValueError(f"accuracy: empty held-out split on shard {shard.id}")
-    logits = shard.model.predict_logits(Tensor(shard.flat_holdout()),
-                                        latents=latents)
+    shard.model is their label; None for a shard with no held-out rows."""
+    n_hold = shard.holdout_images.shape[0]
+    if n_hold == 0:
+        return None
+    logits = shard.model.predict_logits(
+        Tensor(shard.holdout_images.reshape(n_hold, -1)), latents=latents)
     return float(np.mean(np.argmax(logits.data, axis=1)
                          == shard.holdout_labels))
 
 
 def accuracy_per_client(shards: list[ClientShard], latents: str = "both"):
-    """Deterministic per-client held-out accuracy plus mean and
-    across-client stddev."""
+    """Deterministic per-client held-out accuracy, plus the mean and
+    across-client stddev of those not None (None if all are)."""
     accs = [accuracy(shard, latents) for shard in shards]
-    return accs, float(np.mean(accs)), float(np.std(accs))
+    scored = [a for a in accs if a is not None]
+    if not scored:
+        return accs, None, None
+    return accs, float(np.mean(scored)), float(np.std(scored))
 
 
 # ----------------------------------------------------------------- export
@@ -281,7 +289,9 @@ def export_embeddings_csv(codes: list[ShardCodes], path) -> None:
                              for s, row in enumerate(rows))
 
 
-def export_accuracy_csv(accs: list[float], mean: float, std: float, path) -> None:
+def export_accuracy_csv(accs: list[float | None], mean: float | None,
+                        std: float | None, path) -> None:
+    """One row per client, then mean and stddev; None is an empty cell."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["client_id", "accuracy"])
@@ -293,5 +303,6 @@ def export_accuracy_csv(accs: list[float], mean: float, std: float, path) -> Non
 
 def write_report_json(report: DisentanglementReport, path) -> None:
     with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
+        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True,
+                  allow_nan=False)
         f.write("\n")

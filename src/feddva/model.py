@@ -195,9 +195,6 @@ class FederatedModel:
     def all_parameters(self) -> list[Tensor]:
         return self.shared_parameters() + self.local_parameters()
 
-    def zero_grad(self) -> None:
-        ad.zero_grads(self.all_parameters())
-
     def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"encode: expected [batch, {self.arch.input_dim}], "
@@ -216,18 +213,35 @@ class FederatedModel:
         _load(self.local_parameters(), flat, "local")
 
 
-class DvaModel(FederatedModel):
-    """Shared dual encoders plus this client's decoder and optional head."""
+class ZEncoderModel(FederatedModel):
+    """A model whose shared group starts with f(x), the encoder of q(z|x)."""
 
     def __init__(self, arch: ArchitectureConfig,
                  rng: np.random.Generator | None):
         self.arch = arch
-        act = arch.activation
-        h = arch.hidden_dims
-
-        self.f_trunk = Mlp(rng, (arch.input_dim, *h), act)
+        self.f_trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims),
+                           arch.activation)
         self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
         self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
+
+    def encode_z(self, x: Tensor) -> DiagGaussian:
+        self._check_input(x)
+        hid = self.f_trunk(x)
+        return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
+
+    @property
+    def theta_z(self) -> list[Tensor]:
+        return self.f_trunk.params + self.z_mu.params + self.z_lv.params
+
+
+class DvaModel(ZEncoderModel):
+    """Shared dual encoders plus this client's decoder and optional head."""
+
+    def __init__(self, arch: ArchitectureConfig,
+                 rng: np.random.Generator | None):
+        super().__init__(arch, rng)
+        act = arch.activation
+        h = arch.hidden_dims
 
         # with a hidden layer, h's first one splits its weight by input
         self.h_in = (PixelDense(rng, arch.input_dim, arch.d_z, h[0], act)
@@ -246,11 +260,6 @@ class DvaModel(FederatedModel):
             self.head_out = Dense(rng, self.head.out_dim, arch.n_classes)
 
     # -------------------------------------------------------- forward
-
-    def encode_z(self, x: Tensor) -> DiagGaussian:
-        self._check_input(x)
-        hid = self.f_trunk(x)
-        return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
 
     def pixel_product(self, x: Tensor) -> Tensor:
         """x's share of h's first layer, x @ W_x + b, for every encode_c of
@@ -304,10 +313,6 @@ class DvaModel(FederatedModel):
     # ----------------------------------------------------- parameters
 
     @property
-    def theta_z(self) -> list[Tensor]:
-        return self.f_trunk.params + self.z_mu.params + self.z_lv.params
-
-    @property
     def theta_c(self) -> list[Tensor]:
         first = self.h_in.params if self.h_in is not None else []
         return first + self.h_trunk.params + self.c_mu.params + self.c_lv.params
@@ -322,31 +327,22 @@ class DvaModel(FederatedModel):
         return phi
 
 
-class VanillaVaeModel(FederatedModel):
+class VanillaVaeModel(ZEncoderModel):
     """Single-encoder VAE: shared encoder, client-local z-only decoder."""
 
     def __init__(self, arch: ArchitectureConfig,
                  rng: np.random.Generator | None):
-        self.arch = arch
-        act = arch.activation
-        h = arch.hidden_dims
-        self.f_trunk = Mlp(rng, (arch.input_dim, *h), act)
-        self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
-        self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
-        self.dec_trunk = Mlp(rng, (arch.d_z, *reversed(h)), act)
+        super().__init__(arch, rng)
+        self.dec_trunk = Mlp(rng, (arch.d_z, *reversed(arch.hidden_dims)),
+                             arch.activation)
         self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
-
-    def encode_z(self, x: Tensor) -> DiagGaussian:
-        self._check_input(x)
-        hid = self.f_trunk(x)
-        return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
 
     def decode(self, z: Tensor) -> Tensor:
         """Pixel Bernoulli logits; sigmoid of them gives the means."""
         return self.dec_out(*self.dec_trunk(z))
 
     def shared_parameters(self) -> list[Tensor]:
-        return self.f_trunk.params + self.z_mu.params + self.z_lv.params
+        return self.theta_z
 
     def local_parameters(self) -> list[Tensor]:
         return self.dec_trunk.params + self.dec_out.params

@@ -116,7 +116,19 @@ def check_loss_gradient():
     return _grad_ok(fn, model.all_parameters())
 
 
+def _pairwise_kl_matrix(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
+    """[n, n] matrix of KL(q_i || q_j) over the rows of a batch, the closed
+    form of the gaussians docstring term by term."""
+    diff = mu[:, None, :] - mu[None, :, :]
+    lv_diff = log_var[:, None, :] - log_var[None, :, :]
+    core = (diff * diff * np.exp(-log_var)[None] - lv_diff + np.exp(lv_diff)
+            - 1.0)
+    return 0.5 * core.sum(axis=-1)
+
+
 def check_kl_closed_forms():
+    """kl_to_standard and the pairwise closed form against Monte Carlo, and
+    the mixture bound that training runs against the pairwise mean."""
     rng = np.random.default_rng(3)
     n_draws, n_mc = 8, 10**5
     for _ in range(n_draws):
@@ -125,9 +137,8 @@ def check_kl_closed_forms():
         mu_j = rng.uniform(-2, 2, d)
         lv_i = rng.uniform(-1, 1, d)
         lv_j = rng.uniform(-1, 1, d)
-        q_i = gaussians.DiagGaussian(Tensor(mu_i[None]), Tensor(lv_i[None]))
-        q_j = gaussians.DiagGaussian(Tensor(mu_j[None]), Tensor(lv_j[None]))
-        closed = gaussians.kl_pairwise(q_i, q_j).item()
+        closed = _pairwise_kl_matrix(np.stack([mu_i, mu_j]),
+                                    np.stack([lv_i, lv_j]))[0, 1]
         s_i, s_j = np.exp(lv_i / 2), np.exp(lv_j / 2)
         x = mu_i + s_i * rng.standard_normal((n_mc, d))
 
@@ -140,12 +151,26 @@ def check_kl_closed_forms():
         se = vals.std(ddof=1) / math.sqrt(n_mc)
         if abs(closed - vals.mean()) > 3 * se:
             return False, f"pairwise KL off by {abs(closed - vals.mean()):.3g} (3se={3*se:.3g})"
+        q_i = gaussians.DiagGaussian(Tensor(mu_i[None]), Tensor(lv_i[None]))
         std_closed = gaussians.kl_to_standard(q_i).item()
         vals_std = logpdf(mu_i, s_i) - logpdf(np.zeros(d), np.ones(d))
         se_std = vals_std.std(ddof=1) / math.sqrt(n_mc)
         if abs(std_closed - vals_std.mean()) > 3 * se_std:
             return False, "kl_to_standard disagrees with Monte Carlo"
-    return True, f"{n_draws} random draws vs {n_mc}-sample MC"
+    worst = 0.0
+    for offset in (0.0, 0.0, 1e3):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        mu = rng.uniform(-2, 2, (n, d)) + offset
+        lv = rng.uniform(-1, 1, (n, d))
+        got = gaussians.mixture_bound_batch_mean(
+            gaussians.DiagGaussian(Tensor(mu), Tensor(lv))).item()
+        want = float(_pairwise_kl_matrix(mu, lv).mean())
+        worst = max(worst, abs(got - want) / max(abs(want), 1.0))
+        if not worst <= 1e-9:
+            return False, (f"mixture bound {got!r} vs pairwise mean {want!r} "
+                           f"at offset {offset:g}")
+    return True, (f"{n_draws} random draws vs {n_mc}-sample MC; mixture bound "
+                  f"at offsets 0 and 1e3, max rel err {worst:.1e}")
 
 
 def check_mixture_kl_estimator():

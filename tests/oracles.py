@@ -9,8 +9,9 @@ path from per-sample generation and per-image marking.
 Two oracles are graph forms built from generic autodiff ops, so their
 backward is the engine's own chain rule rather than a hand-written VJP:
 ``kl_to_batch_mixture`` (the Jensen bound of one row against a batch,
-row-broadcast) and ``pairwise_kl_matrix`` (the full n x n matrix of
-pairwise KLs, from matmuls). The fused closed-form node
+row-broadcast; against a one-row batch it is the pairwise KL of two
+rows) and ``pairwise_kl_matrix`` (the full n x n matrix of pairwise KLs,
+from matmuls). The fused closed-form node
 ``gaussians.mixture_bound_batch_mean`` is checked against them.
 """
 
@@ -129,13 +130,14 @@ def kl_to_batch_mixture(q_row, batch):
     n = batch.batch
     if n == 0:
         raise ValueError("kl_to_batch_mixture: mixture batch is empty")
-    if q_row.mu.shape[-1] != batch.dim:
+    if q_row.mu.shape[-1] != batch.mu.shape[-1]:
         raise ShapeError(f"kl_to_batch_mixture: row dim {q_row.mu.shape[-1]} "
-                         f"vs batch dim {batch.dim}")
+                         f"vs batch dim {batch.mu.shape[-1]}")
     # per-row terms against the whole batch via row broadcasting
-    mu_diff = ad.add_rowvec(ad.neg(batch.mu), q_row.mu)           # mu_i - mu_j
-    lv_diff = ad.add_rowvec(ad.neg(batch.log_var), q_row.log_var)  # lv_i - lv_j
-    mahal = ad.mul(ad.square(mu_diff), ad.exp(ad.neg(batch.log_var)))
+    mu_diff = ad.add_rowvec(ad.scale(batch.mu, -1.0), q_row.mu)  # mu_i - mu_j
+    lv_diff = ad.add_rowvec(ad.scale(batch.log_var, -1.0),
+                            q_row.log_var)                        # lv_i - lv_j
+    mahal = ad.mul(ad.square(mu_diff), ad.exp(ad.scale(batch.log_var, -1.0)))
     core = mahal - lv_diff + ad.exp(lv_diff) - 1.0
     return ad.scale(ad.sum_all(core), 0.5 / n)
 
@@ -150,7 +152,7 @@ def pairwise_kl_matrix(batch):
     with inv = exp(-log_var), var = exp(log_var).
     """
     n, d = batch.mu.shape
-    inv = ad.exp(ad.neg(batch.log_var))
+    inv = ad.exp(ad.scale(batch.log_var, -1.0))
     var = ad.exp(batch.log_var)
     inv_t = ad.transpose(inv)
     ones_col = Tensor(np.ones((d, 1)))

@@ -301,8 +301,8 @@ def test_grad_check_scalar_affine():
     rng = np.random.default_rng(11)
     x = leaf(rng, (2, 2))
     # 3x + 1.5 - (2 - x)
-    fn = lambda: ad.sum_all(ad.square(ad.sub(ad.shift(ad.scale(x, 3.0), 1.5),
-                                             ad.shift(ad.neg(x), 2.0))))
+    fn = lambda: ad.sum_all(ad.square(ad.sub(
+        ad.shift(ad.scale(x, 3.0), 1.5), ad.shift(ad.scale(x, -1.0), 2.0))))
     err, ok = grad_check(fn, [x])
     assert ok, err
 

@@ -1,5 +1,8 @@
+import builtins
 import hashlib
+import io
 import json
+import os
 import re
 import runpy
 import shutil
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import feddva.autodiff as ad
 import feddva.gaussians
 import feddva.metrics
 from feddva import blas, federation
@@ -489,6 +493,80 @@ def test_resume_survives_a_kill_while_resume_rewrites(tmp_path, monkeypatch,
     assert FINGERPRINT(out) == full
 
 
+def _hook_writes(monkeypatch, out: Path, crash_at: int | None) -> list[str]:
+    """Record every file-system write under out: each open for writing,
+    os.replace and os.mkdir, in order. Write number crash_at (from 0)
+    raises _Killed instead: an open after it has created or truncated its
+    file, a rename or mkdir before it happens."""
+    real_open, real_replace, real_mkdir = io.open, os.replace, os.mkdir
+    writes = []
+
+    def hit(kind, path) -> bool:
+        if not isinstance(path, (str, os.PathLike)) or not (
+                str(path) == str(out)
+                or str(path).startswith(f"{out}{os.sep}")):
+            return False
+        writes.append(f"{kind} {Path(path).relative_to(out)}")
+        return len(writes) - 1 == crash_at
+
+    def opened(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if set(mode) & set("wax+") and hit("open", file):
+            f.close()
+            raise _Killed
+        return f
+
+    def replaced(src, dst, *args, **kwargs):
+        if hit("replace", dst):
+            raise _Killed
+        return real_replace(src, dst, *args, **kwargs)
+
+    def made(path, *args, **kwargs):
+        if hit("mkdir", path):
+            raise _Killed
+        return real_mkdir(path, *args, **kwargs)
+
+    for owner in (io, builtins):
+        monkeypatch.setattr(owner, "open", opened)
+    monkeypatch.setattr(os, "replace", replaced)
+    monkeypatch.setattr(os, "mkdir", made)
+    return writes
+
+
+def test_resume_recovers_from_a_crash_at_every_write(tmp_path, monkeypatch,
+                                                     capsys):
+    # a crash at each write a 2-round train makes; resuming, or training
+    # afresh where no round directory exists yet, gives the straight run's
+    # table
+    out = tmp_path / "run"
+    train = ["train", "--config", str(write_cfg(tmp_path, FAST)),
+             "--rounds", "2", "--checkpoint_every", "1", "--m", "1",
+             "--toy_per_class", "8", "--output_dir", str(out)]
+    resume = ["train", "--resume", "--output_dir", str(out)]
+    with monkeypatch.context() as patched:
+        writes = _hook_writes(patched, out, crash_at=None)
+        assert main(train) == 0
+    full = FINGERPRINT(out)
+    first_round = writes.index("replace checkpoints/round_00001")
+    for i, write in enumerate(writes):
+        shutil.rmtree(out)
+        with monkeypatch.context() as patched:
+            _hook_writes(patched, out, crash_at=i)
+            with pytest.raises(_Killed):
+                main(train)
+        capsys.readouterr()
+        if i <= first_round:
+            # nothing to resume; a crash before config.txt leaves no run
+            assert main(resume) == 2, write
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"error: (--resume: no checkpoints|no "
+                                r"config\.txt) .*\n", err), (write, err)
+            assert main(train) == 0, write
+        else:
+            assert main(resume) == 0, write
+        assert FINGERPRINT(out) == full, f"crash at write {i}: {write}"
+
+
 def test_non_finite_loss_stops_train_at_the_last_good_checkpoint(tmp_path,
                                                                 capsys):
     out = tmp_path / "run"
@@ -597,6 +675,52 @@ def test_eval_of_a_one_client_run_writes_every_artifact(tmp_path):
     assert np.isfinite(report["constraint_estimate_per_client"][0])
     for key in ("separation_ratio_z", "separation_ratio_c", "ratio_c_over_z"):
         assert report[key] is None, key
+
+
+TINY = ["--K", "2", "--m", "2", "--epochs_per_phase", "1", "--batch_size",
+        "16", "--toy_classes", "2", "--toy_height", "8", "--toy_width", "8",
+        "--hidden_dims", "8", "--seed", "1"]
+
+
+def test_eval_of_a_classify_run_with_no_held_out_rows(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", *TINY, "--task", "classify", "--rounds", "1",
+                 "--toy_per_class", "12", "--d_z", "2", "--d_c", "2",
+                 "--holdout_frac", "0", "--output_dir", str(out)]) == 0
+    row = json.loads((out / "history.jsonl").read_text())
+    assert [c["accuracy"] for c in row["clients"].values()] == [None, None]
+    assert main(["eval", "--output_dir", str(out)]) == 0
+    assert (out / "eval" / "accuracy.csv").read_text().splitlines() == [
+        "client_id,accuracy", "0,", "1,", "mean,", "stddev,"]
+
+
+def test_eval_report_of_a_run_with_no_spread_is_json(tmp_path):
+    # zero-initialised posterior heads: every mean is 0, so both separation
+    # ratios read 0 and their ratio has a zero denominator
+    out = tmp_path / "run"
+    assert main(["train", *TINY, "--rounds", "0", "--toy_per_class", "8",
+                 "--output_dir", str(out)]) == 0
+    assert main(["eval", "--output_dir", str(out)]) == 0
+    report = json.loads((out / "eval" / "report.json").read_text(),
+                        parse_constant=pytest.fail)
+    assert (report["separation_ratio_z"], report["separation_ratio_c"],
+            report["ratio_c_over_z"]) == (0.0, 0.0, None)
+
+
+def test_eval_of_a_diverged_checkpoint_exits_before_its_report(tmp_path,
+                                                               capsys):
+    # the lr 1e6 run fails in round 2; round 1's c log-variances are finite
+    # but overflow the constraint estimate
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert main(["train", *TINY, "--rounds", "2", "--toy_per_class", "8",
+                     "--lr_eta", "1e6", "--lr_lambda", "1e6",
+                     "--checkpoint_every", "1", "--output_dir", str(out)]) == 2
+        capsys.readouterr()
+        assert main(["eval", "--output_dir", str(out)]) == 2
+    assert re.fullmatch(r"error: clustering_report: constraint estimate of "
+                        r"client 0 is nan: .*\n", capsys.readouterr().err)
+    assert not (out / "eval" / "report.json").exists()
 
 
 def test_eval_untrained_checkpoint_chance_accuracy(tmp_path):
@@ -901,14 +1025,17 @@ def test_selftest_passes_and_is_fast():
 
 
 def test_selftest_catches_mutated_kl(monkeypatch):
-    def corrupted(q_i, q_j):
-        import feddva.autodiff as ad
-        return ad.scale(feddva.gaussians.kl_to_standard(q_i), 2.0)
+    # the bound training runs, off by a constant: every gradient holds
+    exact = feddva.gaussians.mixture_bound_batch_mean
 
-    monkeypatch.setattr(feddva.gaussians, "kl_pairwise", corrupted)
+    def shifted(batch):
+        return ad.shift(exact(batch), 0.5)
+
+    monkeypatch.setattr(feddva.gaussians, "mixture_bound_batch_mean", shifted)
     lines = []
     assert run_selftest(out=lines.append) == 1
-    assert any(l.startswith("[FAIL] kl-closed-forms") for l in lines)
+    assert [l.split(":")[0] for l in lines if l.startswith("[FAIL]")] == [
+        "[FAIL] kl-closed-forms-vs-monte-carlo"]
 
 
 def test_selftest_catches_mutated_mixture_kl_estimator(monkeypatch):

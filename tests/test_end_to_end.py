@@ -54,7 +54,7 @@ def test_classifier_head_solves_separable_latents():
         loss = cross_entropy(model.classify(zt, ct), labels)
         backward(loss)
         sgd_step(head_params, 0.5)
-        model.zero_grad()
+        ad.zero_grads(model.all_parameters())
     pred = np.argmax(model.classify(zt, ct).data, axis=1)
     assert np.mean(pred == labels) == 1.0
 

@@ -275,7 +275,7 @@ def test_classifier_frozen_mode_keeps_encoder_ce_free():
     b = loss_classifier(x, m.encode_z(x), labels, m, xi=0.0, alpha=0.0,
                         beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
                         frozen=True)
-    m.zero_grad()
+    ad.zero_grads(m.all_parameters())
     backward(b.total)
     head_grads = [p.grad for p in m.head.params + m.head_out.params]
     assert any(g is not None and np.abs(g).max() > 0 for g in head_grads)
@@ -284,7 +284,7 @@ def test_classifier_frozen_mode_keeps_encoder_ce_free():
     b2 = loss_classifier(x, m2.encode_z(x), labels, m2, xi=0.0, alpha=0.0,
                          beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
                          frozen=False)
-    m2.zero_grad()
+    ad.zero_grads(m2.all_parameters())
     backward(b2.total)
     g_frozen = np.concatenate([p.grad.reshape(-1) for p in m.shared_parameters()])
     g_joint = np.concatenate([p.grad.reshape(-1) for p in m2.shared_parameters()])
@@ -373,7 +373,7 @@ def test_vanilla_training_smoke_loss_decreases():
         b = loss_vanilla_vae(x, m.encode_z(x), m, rng)
         backward(b.total)
         sgd_step(m.all_parameters(), 0.05)
-        m.zero_grad()
+        ad.zero_grads(m.all_parameters())
     last = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(3))
     assert last.total.item() < first
 

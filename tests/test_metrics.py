@@ -226,13 +226,20 @@ def test_accuracy_chance_level_random_logits():
     assert abs(mean - 0.25) < ci + 0.05
 
 
-def test_accuracy_empty_split_errors():
+def test_accuracy_empty_split_is_none():
     ds = make_toy_digits(6, 2, 8, 8, 2)
     shards, _ = partition_uniform_marked(ds, 2, 2, holdout_frac=0.0)
     for s in shards:
         s.model = StubPerfect(2)
-    with pytest.raises(ValueError, match="empty"):
-        accuracy_per_client(shards)
+    assert accuracy_per_client(shards) == ([None, None], None, None)
+    # mean and stddev over the clients that have held-out rows
+    shards, _ = partition_uniform_marked(ds, 3, 2, holdout_frac=0.5)
+    shards[1].holdout_images = shards[1].holdout_images[:0]
+    for s in shards:
+        s.model = StubPerfect(2)
+        s.model.labels = s.holdout_labels
+    shards[2].model.labels = 1 - shards[2].holdout_labels
+    assert accuracy_per_client(shards) == ([1.0, None, 0.0], 0.5, 0.5)
 
 
 # ---------------------------------------------------------------- export
