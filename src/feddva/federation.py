@@ -7,10 +7,14 @@ phases over its local batches:
   Phase 1  shared parameters frozen, local decoder (and head) stepped
   Phase 2  local parameters frozen, the shared copy stepped
 
-Each phase computes only what it steps. q(z|x) cannot change while the
-encoders are frozen, so phase 1 encodes the shard once and feeds each
-batch its rows of that encoding as constants; phase 2 encodes each batch.
-The wall seconds of each phase go to the history beside the update's.
+Each phase computes only what it steps. The encoders' outputs cannot
+change while they are frozen, so phase 1 takes them once over the shard
+(q(z|x), the c encoder's pixel product and, for classify, the head's
+posterior means) and feeds each batch its rows as constants; feddva's
+phase-1 loss holds only the terms whose gradient reaches the local group
+(vanilla-vae keeps its whole loss there, whose one extra term is a KL
+node). Phase 2 encodes each batch and runs the whole loss. The wall
+seconds of each phase go to the history beside the update's.
 
 The client's decoder persists in its shard across rounds and never
 travels; only the phase-2 shared vector returns to the server, which
@@ -48,7 +52,7 @@ from .data import (ClientShard, Dataset, PartitionPlan, load_idx_dataset,
                    partition_uniform_marked)
 from .gaussians import DiagGaussian
 from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
-                     loss_feddva, loss_vanilla_vae)
+                     loss_feddva, loss_local, loss_vanilla_vae)
 from .metrics import accuracy
 from .model import MODEL_CLASS, ArchitectureConfig
 from .seeding import make_rng
@@ -129,7 +133,8 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
     value of ``total``, not its graph.
 
     A non-finite ``total`` raises FloatingPointError, naming the phase (1
-    or 2), epoch and batch (from 1), before it can reach a parameter.
+    or 2), epoch and batch (from 1), before it can reach a parameter; so
+    does a phase that leaves a non-finite parameter in its group.
     """
     everything = list(local_params) + list(shared_params)
     flags = [p.requires_grad for p in everything]
@@ -157,6 +162,9 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                     sgd_step(params, lr)
                     if phase == "shared":
                         records.append(_release_graph(out))
+            if not all(np.isfinite(p.data).all() for p in params):
+                raise FloatingPointError(
+                    f"non-finite parameter after phase {number}")
             seconds[phase] = time.perf_counter() - start
     finally:
         for p, flag in zip(everything, flags):
@@ -172,16 +180,32 @@ def _release_graph(out):
     return out
 
 
+def _encode_frozen(model, x_all: np.ndarray, cfg) -> list[np.ndarray]:
+    """Phase 1's inputs from the frozen shared group, over every row of the
+    shard: q(z|x)'s mu and log-variance; for feddva also the pixel product
+    and, for classify, the head's mean of q(c|x, mu_z)."""
+    x = Tensor(x_all)
+    qz = model.encode_z(x)
+    arrays = [qz.mu.data, qz.log_var.data]
+    if cfg.method == "feddva":
+        product = model.pixel_product(x)
+        arrays.append(product.data)
+        if cfg.task == "classify":
+            arrays.append(model.encode_c(x, qz.mu, product).mu.data)
+    return arrays
+
+
 def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
                   epochs: int | None = None
                   ) -> tuple[np.ndarray, list[LossBreakdown], dict[str, float]]:
     """One ClientUpdate: load shared params, phase 1 then phase 2; returns
     the shared vector and two_phase_update's records and phase seconds.
 
-    A batch is its row indices and, in phase 1, those rows of the shard's
-    q(z|x), encoded once after the shared group is frozen; in phase 2 the
-    loss encodes the batch. epochs overrides cfg.epochs_per_phase;
-    fedavg-ft fine-tunes with it.
+    A batch is its row indices and, in phase 1, those rows of
+    _encode_frozen's arrays, computed once after the shared group is
+    frozen; phase 1's feddva loss is loss_local, the terms that reach the
+    decoder and head. In phase 2 the loss encodes the batch. epochs
+    overrides cfg.epochs_per_phase; fedavg-ft fine-tunes with it.
     """
     if shard.n == 0:
         raise ValueError(f"client_update: shard {shard.id} is empty")
@@ -191,32 +215,36 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
     labels = shard.labels
     local = model.local_parameters()
 
-    codes = None  # phase 1's q(z|x) of every row, as (mu, log_var) arrays
+    frozen = None  # _encode_frozen's arrays, once phase 1 starts
 
     def batch_stream(phase, epoch):
-        nonlocal codes
+        nonlocal frozen
         # a model with no local group draws its batches under FedAvg's label
         label = phase if local else "fedavg"
         rng = make_rng(cfg.seed, "batches", shard.id, round_idx, label, epoch)
-        if phase == "local" and codes is None:
-            qz = model.encode_z(Tensor(x_all))
-            codes = (qz.mu.data, qz.log_var.data)
+        if phase == "local" and frozen is None:
+            frozen = _encode_frozen(model, x_all, cfg)
         for idx in iter_batches(shard.n, cfg.batch_size, rng):
-            yield idx, (DiagGaussian(*(Tensor(a[idx]) for a in codes))
+            yield idx, ([Tensor(a[idx]) for a in frozen]
                         if phase == "local" else None)
 
     noise_rng = make_rng(cfg.seed, "noise", shard.id, round_idx)
 
     def loss_fn(batch):
-        idx, qz = batch
+        idx, rows = batch
         x = Tensor(x_all[idx])
         if cfg.method not in ("feddva", "vanilla-vae"):
             return loss_fedavg_classifier(x, labels[idx], model)
-        if qz is None:
-            qz = model.encode_z(x)
+        qz = model.encode_z(x) if rows is None else DiagGaussian(*rows[:2])
         if cfg.method == "vanilla-vae":
             return loss_vanilla_vae(x, qz, model, noise_rng)
-        if cfg.task == "classify":
+        classify = cfg.task == "classify"
+        if rows is not None:
+            head = (qz.mu, rows[3], labels[idx]) if classify else None
+            return loss_local(x, qz, model, noise_rng, cfg.n_elbo_samples,
+                              rows[2], head, cfg.gamma,
+                              cfg.classifier_latents)
+        if classify:
             return loss_classifier(x, qz, labels[idx], model, cfg.xi_value(),
                                    cfg.alpha, cfg.beta, cfg.gamma, noise_rng,
                                    frozen=cfg.classifier_frozen,
@@ -225,9 +253,13 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
         return loss_feddva(x, qz, model, cfg.xi_value(), cfg.alpha, cfg.beta,
                            noise_rng, n_samples=cfg.n_elbo_samples)
 
-    records, seconds = two_phase_update(
-        loss_fn, batch_stream, local, model.shared_parameters(), cfg.lr_eta,
-        cfg.lr_lambda, cfg.epochs_per_phase if epochs is None else epochs)
+    # two_phase_update's non-finite checks report a diverging update, so
+    # numpy's warnings of the arithmetic that led there are off
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        records, seconds = two_phase_update(
+            loss_fn, batch_stream, local, model.shared_parameters(),
+            cfg.lr_eta, cfg.lr_lambda,
+            cfg.epochs_per_phase if epochs is None else epochs)
     return model.flatten_shared(), records, seconds
 
 

@@ -10,16 +10,21 @@ The personalized objective combines three terms, all minimized:
   r_c    hinge max(xi + bound, KL(q(c|x,z) || N(0, I))), where bound is
          the Jensen upper estimate of the KL to the batch mixture
 
-The hinge is an exact max; at a tie the subgradient follows the first
-branch. The slack KL(c to prior) - bound - xi is recorded per batch as
-the runtime constraint monitor.
+With S ELBO draws the total is (1/S) sum_k (recon_k + alpha r_z + beta
+r_c,k), one graph node (elbo_sum). The hinge is an exact max; at a tie
+the subgradient follows the first branch. The slack KL(c to prior) -
+bound - xi is recorded per batch as the runtime constraint monitor.
 
 Every ELBO loss takes the batch's q(z|x) from its caller, so a caller
 whose z encoder is frozen can encode its data once and pass constant rows.
+With the encoders frozen only recon (and the classifier's cross-entropy)
+reach the decoder and head: loss_local computes just those, from the
+frozen encoders' outputs, with the same draws and the same gradients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -109,6 +114,53 @@ def loss_vanilla_vae(x: Tensor, qz: gaussians.DiagGaussian, model,
     return LossBreakdown(total=total, recon=recon.item(), r_z=r_z.item())
 
 
+def elbo_sum(recons: Sequence[Tensor], r_z: Tensor | None = None,
+             r_cs: Sequence[Tensor] = (), alpha: float = 0.0,
+             beta: float = 0.0) -> Tensor:
+    """The S-draw ELBO total, (1/S) sum_k (recon_k + alpha r_z + beta r_c,k),
+    as one node; without r_z and r_cs, (1/S) sum_k recon_k.
+
+    Value and parent gradients are bitwise those of the composed graph
+    ``scale(t_1 + ... + t_S, 1/S)`` with t_k = recon_k + scale(r_z, alpha)
+    + scale(r_c,k, beta): every term takes g * (1/S) times its weight, and
+    r_z the sum of its S copies.
+    """
+    n_samples = len(recons)
+    inv = 1.0 / n_samples
+    terms = [recon.item() for recon in recons]
+    if r_z is not None:
+        terms = [t + r_z.item() * alpha + r_c.item() * beta
+                 for t, r_c in zip(terms, r_cs)]
+    value = terms[0]
+    for t in terms[1:]:
+        value += t
+
+    def back(g):
+        h = g * inv
+        if r_z is None:
+            return (h,) * n_samples
+        g_z = h * alpha
+        g_rz = g_z
+        for _ in range(n_samples - 1):
+            g_rz = g_rz + g_z
+        return (h,) * n_samples + (g_rz,) + (h * beta,) * n_samples
+
+    parents = tuple(recons) if r_z is None else (*recons, r_z, *r_cs)
+    return Tensor._from_op(np.asarray(value * inv), "elbo-sum", parents, back)
+
+
+def _draw_recon(x: Tensor, qz: gaussians.DiagGaussian, model,
+                rng: np.random.Generator,
+                product: Tensor) -> tuple[Tensor, gaussians.DiagGaussian]:
+    """One ELBO draw over the batch x: z ~ q(z|x), q(c|x, z) over x's pixel
+    product, c ~ q(c|x, z), and the BCE of x under decode(z, c); returns
+    that recon and q(c|x, z)."""
+    z = gaussians.reparameterize(qz, rng)
+    qc = model.encode_c(x, z, product)
+    c = gaussians.reparameterize(qc, rng)
+    return bce_recon(model.decode(z, c), x), qc
+
+
 def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
                 alpha: float, beta: float, rng: np.random.Generator,
                 n_samples: int = 1,
@@ -129,33 +181,27 @@ def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
     if product is None:
         product = model.pixel_product(x)
 
-    totals, recons, r_cs, klqcs, klmixes = [], [], [], [], []
+    recons, r_cs = [], []
+    recon_v = r_c_v = kl_qc_v = kl_mix_v = 0.0
     for _ in range(n_samples):
-        z = gaussians.reparameterize(qz, rng)
-        qc = model.encode_c(x, z, product)
-        c = gaussians.reparameterize(qc, rng)
-        recon = bce_recon(model.decode(z, c), x)
+        recon, qc = _draw_recon(x, qz, model, rng, product)
         kl_qc = gaussians.kl_to_standard(qc)
         kl_mix = gaussians.mixture_bound_batch_mean(qc)
         r_c = hinge_max(kl_mix + xi, kl_qc)
-        totals.append(recon + ad.scale(r_z, alpha) + ad.scale(r_c, beta))
-        recons.append(recon.item())
-        r_cs.append(r_c.item())
-        klqcs.append(kl_qc.item())
-        klmixes.append(kl_mix.item())
+        recons.append(recon)
+        r_cs.append(r_c)
+        recon_v += recon.item()
+        r_c_v += r_c.item()
+        kl_qc_v += kl_qc.item()
+        kl_mix_v += kl_mix.item()
 
-    total = totals[0]
-    for t in totals[1:]:
-        total = total + t
-    total = ad.scale(total, 1.0 / n_samples)  # exact at n_samples == 1
-
-    kl_qc_v = float(np.mean(klqcs))
-    kl_mix_v = float(np.mean(klmixes))
+    kl_qc_v /= n_samples
+    kl_mix_v /= n_samples
     return LossBreakdown(
-        total=total,
-        recon=float(np.mean(recons)),
+        total=elbo_sum(recons, r_z, r_cs, alpha, beta),
+        recon=recon_v / n_samples,
         r_z=r_z.item(),
-        r_c=float(np.mean(r_cs)),
+        r_c=r_c_v / n_samples,
         kl_c_to_qc=kl_qc_v,
         kl_c_to_mixture=kl_mix_v,
         constraint_slack=kl_qc_v - kl_mix_v - xi,
@@ -184,6 +230,29 @@ def loss_classifier(x: Tensor, qz: gaussians.DiagGaussian, labels: np.ndarray,
     breakdown.total = breakdown.total + ad.scale(ce, gamma)
     breakdown.cross_entropy = ce.item()
     return breakdown
+
+
+def loss_local(x: Tensor, qz: gaussians.DiagGaussian, model,
+               rng: np.random.Generator, n_samples: int, product: Tensor,
+               head: tuple[Tensor, Tensor, np.ndarray] | None = None,
+               gamma: float = 0.0, latents: str = "both") -> Tensor:
+    """The terms of loss_feddva, or of loss_classifier given head, whose
+    gradient reaches the decoder and head while the encoders are frozen.
+
+    That is the n_samples-draw reconstruction, drawing the noise of
+    loss_feddva in the same order, plus, for head = (mu_z, c_mu, labels),
+    gamma times the head's cross-entropy over those posterior means. qz,
+    product and the means are the frozen encoders' constants, so r_z, r_c
+    and the head's encode_c, which take no gradient, are not computed; the
+    local group's gradient is bitwise the one the full loss gives.
+    """
+    total = elbo_sum([_draw_recon(x, qz, model, rng, product)[0]
+                      for _ in range(n_samples)])
+    if head is not None:
+        z_mu, c_mu, labels = head
+        ce = cross_entropy(model.classify(z_mu, c_mu, latents), labels)
+        total = total + ad.scale(ce, gamma)
+    return total
 
 
 def loss_fedavg_classifier(x: Tensor, labels: np.ndarray, model) -> LossBreakdown:

@@ -198,13 +198,17 @@ def clustering_report(codes: list[ShardCodes], xi: float,
         z_all.append(code.z_mu)
         c_all.append(code.c_mu)
         mus = code.c_mu
-        sigmas = np.exp(code.c_log_var / 2.0)
         rng = make_rng(seed, "mixture-kl", code.shard_id)
-        if mus.shape[0] > MAX_MIXTURE_COMPONENTS:
-            keep = rng.choice(mus.shape[0], size=MAX_MIXTURE_COMPONENTS,
-                              replace=False)
-            mus, sigmas = mus[keep], sigmas[keep]
-        estimate = mixture_kl_to_standard_mc(mus, sigmas, MC_SAMPLES, rng)
+        # a diverged model's variances overflow the estimate, which the
+        # check below then reports in place of numpy's warnings
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sigmas = np.exp(code.c_log_var / 2.0)
+            if mus.shape[0] > MAX_MIXTURE_COMPONENTS:
+                keep = rng.choice(mus.shape[0], size=MAX_MIXTURE_COMPONENTS,
+                                  replace=False)
+                mus, sigmas = mus[keep], sigmas[keep]
+            estimate = mixture_kl_to_standard_mc(mus, sigmas, MC_SAMPLES,
+                                                 rng)
         if not math.isfinite(estimate):
             raise ValueError(f"clustering_report: constraint estimate of client "
                              f"{code.shard_id} is {estimate}: diverged model?")

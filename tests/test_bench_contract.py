@@ -77,8 +77,11 @@ def test_traced_run_reaches_the_traced_names(monkeypatch):
     steps = sum(rec.clients[k]["n_batches"]
                 for rec in state.history for k in rec.sampled)
     assert calls["federation.client_update"] == cfg.rounds * cfg.m
-    assert calls["losses.loss_classifier"] == 2 * steps
-    assert calls["losses.loss_feddva"] == 2 * steps
+    # phase 1 runs loss_local; the full losses run once per phase-2 step
+    assert calls["losses.loss_classifier"] == steps
+    assert calls["losses.loss_feddva"] == steps
+    # the harness divides by the hinge count
+    assert calls["losses.hinge_max"] == cfg.n_elbo_samples * steps
     assert calls["model.classify"] > 0
     assert calls["autodiff.sgd_step"] == 2 * steps
     # the tracer keys client timings by the positional round argument

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -721,6 +722,36 @@ def test_eval_of_a_diverged_checkpoint_exits_before_its_report(tmp_path,
     assert re.fullmatch(r"error: clustering_report: constraint estimate of "
                         r"client 0 is nan: .*\n", capsys.readouterr().err)
     assert not (out / "eval" / "report.json").exists()
+
+
+DIVERGING = [*TINY, "--rounds", "2", "--toy_per_class", "8", "--lr_eta",
+             "1e6", "--lr_lambda", "1e6", "--checkpoint_every", "1"]
+
+
+def test_diverging_train_prints_only_its_error(tmp_path, capsys,
+                                               monkeypatch):
+    # every client in this process, where the filter below applies
+    monkeypatch.setattr(federation, "available_cores", lambda: 1)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", *DIVERGING, "--output_dir", str(out)]) == 2
+    assert re.fullmatch(r"error: client 0 failed in round 2: "
+                        r"FloatingPointError: non-finite loss nan in phase "
+                        r"1, epoch 1, batch 1\n", capsys.readouterr().err)
+
+
+def test_eval_of_a_diverged_checkpoint_prints_only_its_error(tmp_path,
+                                                             capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert main(["train", *DIVERGING, "--output_dir", str(out)]) == 2
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["eval", "--output_dir", str(out)]) == 2
+    assert re.fullmatch(r"error: clustering_report: constraint estimate of "
+                        r"client 0 is nan: .*\n", capsys.readouterr().err)
 
 
 def test_eval_untrained_checkpoint_chance_accuracy(tmp_path):

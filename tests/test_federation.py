@@ -357,6 +357,43 @@ def test_client_update_encodes_z_once_per_phase_2_batch(monkeypatch, task):
     assert calls[0] == shard.n
 
 
+@pytest.mark.parametrize("n_samples", [1, 2])
+def test_classify_phase_1_encodes_the_head_means_once(monkeypatch, n_samples):
+    # phase 1 encodes each ELBO draw's c and, once per update, the head's
+    # q(c|x, mu_z) of the whole shard; phase 2 encodes the head per batch
+    cfg = small_cfg(task="classify", epochs_per_phase=2,
+                    partition="label-skew", n_elbo_samples=n_samples)
+    state = init_run(cfg)
+    shard = state.shards[0]
+    calls = {False: 0, True: 0}  # by whether the shared group steps
+    encode_c = DvaModel.encode_c
+
+    def counted(model, x, z, product=None):
+        calls[model.h_in.w_x.requires_grad] += 1
+        return encode_c(model, x, z, product)
+
+    monkeypatch.setattr(DvaModel, "encode_c", counted)
+    client_update(shard, state.theta, cfg, 1)
+    steps = cfg.epochs_per_phase * len(list(iter_batches(
+        shard.n, cfg.batch_size, np.random.default_rng(0))))
+    assert calls == {False: steps * n_samples + 1,
+                     True: steps * (n_samples + 1)}
+
+
+def test_phase_leaving_a_non_finite_parameter_raises():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+
+    def stream(phase, epoch):
+        yield None
+
+    # a finite loss whose step sends a to -inf
+    with pytest.raises(FloatingPointError,
+                       match="non-finite parameter after phase 1"):
+        two_phase_update(lambda _: ad.sum_all(ad.mul(a, b)), stream, [a], [b],
+                         float("inf"), 0.1, 1)
+
+
 def test_history_times_each_phase():
     for over, phase1_ran in ((dict(), True),
                              (dict(task="classify", method="fedavg",

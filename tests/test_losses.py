@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward, sgd_step
 from feddva.gaussians import kl_to_standard
-from feddva.losses import (LossBreakdown, bce_recon, cross_entropy, hinge_max,
-                           loss_classifier, loss_feddva, loss_vanilla_vae)
+from feddva.losses import (LossBreakdown, bce_recon, cross_entropy, elbo_sum,
+                           hinge_max, loss_classifier, loss_feddva, loss_local,
+                           loss_vanilla_vae)
 from feddva.model import ArchitectureConfig, DvaModel, VanillaVaeModel
 from oracles import grad_check
 
@@ -386,3 +387,91 @@ def test_multi_sample_estimator_averages():
     assert np.isfinite(b.total.item())
     assert b.total.item() == pytest.approx(
         b.recon + 1.0 * b.r_z + 0.5 * b.r_c, rel=1e-6)
+
+
+# ------------------------------------------------ one-node sum, phase 1
+
+
+def composed_elbo_sum(recons, r_z, r_cs, alpha, beta):
+    """elbo_sum as the add/scale graph it replaces."""
+    if r_z is None:
+        terms = list(recons)
+    else:
+        terms = [recon + ad.scale(r_z, alpha) + ad.scale(r_c, beta)
+                 for recon, r_c in zip(recons, r_cs)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return ad.scale(total, 1.0 / len(recons))
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3])
+@pytest.mark.parametrize("with_penalties", [True, False])
+def test_elbo_sum_is_bitwise_the_composed_graph(n_samples, with_penalties):
+    rng = np.random.default_rng(n_samples)
+    for _ in range(50):
+        # the weights and the upstream gradient decide every rounding of
+        # the parents' gradients, so each trial draws its own
+        alpha, beta, upstream = rng.uniform(0.1, 3.0, 3)
+        leaves = [Tensor(np.asarray(v), requires_grad=True)
+                  for v in rng.uniform(-50, 50, 2 * n_samples + 1)]
+        recons, r_z = leaves[:n_samples], leaves[n_samples]
+        r_cs = leaves[n_samples + 1:]
+        if not with_penalties:
+            r_z, r_cs = None, ()
+        got = []
+        for fn in (elbo_sum, composed_elbo_sum):
+            root = ad.scale(fn(recons, r_z, r_cs, alpha, beta), upstream)
+            backward(root)
+            grads = [p.grad for p in leaves]
+            got.append((root.data.tobytes(),
+                        [None if g is None else g.tobytes() for g in grads]))
+            ad.zero_grads(leaves)
+        assert got[0] == got[1]
+
+
+def test_elbo_sum_gradient_matches_finite_differences():
+    rng = np.random.default_rng(0)
+    leaves = [Tensor(np.asarray(v), requires_grad=True)
+              for v in rng.uniform(-1, 1, 7)]
+    err, ok = grad_check(
+        lambda: ad.square(elbo_sum(leaves[:3], leaves[3], leaves[4:],
+                                   0.6, 1.7)),
+        leaves)
+    assert ok, f"max rel err {err}"
+
+
+def local_grads(m, loss):
+    backward(loss)
+    # the head takes none without a cross-entropy term
+    grads = [None if p.grad is None else p.grad.tobytes()
+             for p in m.local_parameters()]
+    ad.zero_grads(m.local_parameters())
+    return grads
+
+
+@pytest.mark.parametrize("n_samples", [1, 2])
+@pytest.mark.parametrize("classify", [False, True])
+def test_phase_1_loss_steps_the_local_group_as_the_full_loss(n_samples,
+                                                             classify):
+    m = tiny_model(seed=21)
+    for p in m.shared_parameters():
+        p.requires_grad = False
+    x = tiny_batch(seed=22, n=4)
+    labels = np.array([0, 2, 1, 2])
+    qz = m.encode_z(x)
+    product = m.pixel_product(x)
+    xi, alpha, beta, gamma = 0.3, 0.9, 1.4, 2.5
+    full_rng, local_rng = np.random.default_rng(8), np.random.default_rng(8)
+    if classify:
+        full = loss_classifier(x, qz, labels, m, xi, alpha, beta, gamma,
+                               full_rng, n_samples=n_samples)
+        head = (qz.mu, m.encode_c(x, qz.mu, product).mu, labels)
+    else:
+        full = loss_feddva(x, qz, m, xi, alpha, beta, full_rng,
+                           n_samples=n_samples)
+        head = None
+    local = loss_local(x, qz, m, local_rng, n_samples, product, head, gamma)
+    want = local_grads(m, full.total)
+    assert want[0] is not None and local_grads(m, local) == want
+    assert full_rng.bit_generator.state == local_rng.bit_generator.state
