@@ -51,8 +51,8 @@ from .data import (ClientShard, Dataset, PartitionPlan, load_idx_dataset,
                    make_toy_digits, partition_label_skew,
                    partition_uniform_marked)
 from .gaussians import DiagGaussian
-from .losses import (LossBreakdown, loss_classifier, loss_fedavg_classifier,
-                     loss_feddva, loss_local, loss_vanilla_vae)
+from .losses import (loss_classifier, loss_fedavg_classifier, loss_feddva,
+                     loss_local, loss_vanilla_vae)
 from .metrics import accuracy
 from .model import MODEL_CLASS, ArchitectureConfig
 from .seeding import make_rng
@@ -117,20 +117,22 @@ def iter_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                      lr_local: float, lr_shared: float,
-                     epochs_per_phase: int) -> tuple[list, dict[str, float]]:
+                     epochs_per_phase: int
+                     ) -> tuple[list[dict[str, float]], dict[str, float]]:
     """Run the decoder-then-encoder coordinate update; returns the phase-2
     loss records and the wall seconds of each phase run, by phase name.
 
-    loss_fn(batch) must return an object with a scalar ``total`` tensor (or
-    a bare tensor). batch_stream(phase, epoch) yields batches. Order is
+    loss_fn(batch) returns (total, values): a scalar tensor and a dict of
+    floats. batch_stream(phase, epoch) yields batches. Order is
     load-bearing: swapping phases changes the result. A phase whose group
     is empty is skipped.
 
     Each phase marks the group it does not step as not requiring grad, so
     that group's graph is neither recorded nor walked and backward writes
     gradients only to the stepped group, which sgd_step then clears. Every
-    flag is restored on return, also when loss_fn raises. A record keeps the
-    value of ``total``, not its graph.
+    flag is restored on return, also when loss_fn raises. A phase-2 batch's
+    record is its values with ``total``'s value first, plain floats that
+    hold no graph; phase 1 keeps none.
 
     A non-finite ``total`` raises FloatingPointError, naming the phase (1
     or 2), epoch and batch (from 1), before it can reach a parameter; so
@@ -152,8 +154,7 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                 p.requires_grad = False
             for epoch in range(epochs_per_phase):
                 for b, batch in enumerate(batch_stream(phase, epoch), 1):
-                    out = loss_fn(batch)
-                    total = out.total if hasattr(out, "total") else out
+                    total, values = loss_fn(batch)
                     if not np.isfinite(total.data):
                         raise FloatingPointError(
                             f"non-finite loss {total.item()} in phase "
@@ -161,7 +162,7 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                     backward(total)
                     sgd_step(params, lr)
                     if phase == "shared":
-                        records.append(_release_graph(out))
+                        records.append({"total": total.item(), **values})
             if not all(np.isfinite(p.data).all() for p in params):
                 raise FloatingPointError(
                     f"non-finite parameter after phase {number}")
@@ -170,14 +171,6 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
         for p, flag in zip(everything, flags):
             p.requires_grad = flag
     return records, seconds
-
-
-def _release_graph(out):
-    """``out`` with its ``total`` (or itself, if a bare tensor) detached."""
-    if isinstance(out, Tensor):
-        return out.detach()
-    out.total = out.total.detach()
-    return out
 
 
 def _encode_frozen(model, x_all: np.ndarray, cfg) -> list[np.ndarray]:
@@ -197,9 +190,12 @@ def _encode_frozen(model, x_all: np.ndarray, cfg) -> list[np.ndarray]:
 
 def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
                   epochs: int | None = None
-                  ) -> tuple[np.ndarray, list[LossBreakdown], dict[str, float]]:
+                  ) -> tuple[np.ndarray, list[dict[str, float]],
+                             dict[str, float]]:
     """One ClientUpdate: load shared params, phase 1 then phase 2; returns
     the shared vector and two_phase_update's records and phase seconds.
+    Each loss returns (total, values), so a record holds the values that
+    the method's loss measured and no other.
 
     A batch is its row indices and, in phase 1, those rows of
     _encode_frozen's arrays, computed once after the shared group is
@@ -263,14 +259,17 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
     return model.flatten_shared(), records, seconds
 
 
-def _summarize(records: list[LossBreakdown], xi: float) -> dict:
+def _summarize(records: list[dict[str, float]], xi: float) -> dict:
+    """The mean of each recorded value over the batches, their count and,
+    where the KL terms were measured, the constraint monitor's statistics:
+    the batch estimate of KL(client mixture || prior), which is slack + xi."""
     if not records:
         return {"n_batches": 0}
-    rows = [r.to_row() for r in records]
-    keys = rows[0].keys()
-    summary = {k: float(np.mean([row[k] for row in rows])) for k in keys}
-    monitors = [r.monitor for r in records]
+    summary = {k: float(np.mean([r[k] for r in records])) for k in records[0]}
     summary["n_batches"] = len(records)
+    if "kl_c_to_qc" not in summary:
+        return summary
+    monitors = [r["kl_c_to_qc"] - r["kl_c_to_mixture"] for r in records]
     summary["monitor_min"] = float(np.min(monitors))
     summary["monitor_mean"] = float(np.mean(monitors))
     summary["monitor_frac_ge_xi"] = float(np.mean([m >= xi for m in monitors]))
@@ -519,7 +518,10 @@ def blank_run(cfg) -> ServerState:
 
 
 def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:
-    """Advance the federation from state.round to cfg.rounds."""
+    """Advance the federation from state.round to cfg.rounds; with no round
+    left, no executor starts."""
+    if state.round >= cfg.rounds:
+        return state
     weights = {s.id: s.weight for s in state.shards}
     with ClientExecutor(cfg, state.shards, cfg.m) as executor:
         while state.round < cfg.rounds:
@@ -552,12 +554,13 @@ def finalize(cfg, state: ServerState) -> ServerState:
     """The end-of-run rule: put each method's final model into every client.
 
     Every client loads the aggregate; fedavg-ft then fine-tunes each client
-    locally for ft_epochs. The fine-tune is a deterministic function of the
-    aggregate, so eval re-derives it from a checkpoint instead of storing it.
+    locally for ft_epochs, if any. The fine-tune is a deterministic function
+    of the aggregate, so eval re-derives it from a checkpoint instead of
+    storing it.
     """
     for s in state.shards:
         s.model.load_shared(state.theta)
-    if cfg.method == "fedavg-ft":
+    if cfg.method == "fedavg-ft" and cfg.ft_epochs > 0:
         with ClientExecutor(cfg, state.shards, len(state.shards)) as executor:
             executor.run([s.id for s in state.shards], state.theta,
                          state.round + 1, epochs=cfg.ft_epochs)

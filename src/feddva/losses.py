@@ -15,6 +15,12 @@ r_c,k), one graph node (elbo_sum). The hinge is an exact max; at a tie
 the subgradient follows the first branch. The slack KL(c to prior) -
 bound - xi is recorded per batch as the runtime constraint monitor.
 
+Every loss returns (total, values): the scalar graph root to backward, and
+a dict of the floats it measured, by name. A loss names only what it
+computed: the ELBO losses their components, the cross-entropy losses
+cross_entropy; loss_feddva records cross_entropy 0.0 (no head term), which
+loss_classifier sets to its head's value. loss_local records nothing.
+
 Every ELBO loss takes the batch's q(z|x) from its caller, so a caller
 whose z encoder is frozen can encode its data once and pass constant rows.
 With the encoders frozen only recon (and the classifier's cross-entropy)
@@ -25,41 +31,12 @@ frozen encoders' outputs, with the same draws and the same gradients.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import gaussians
 from .autodiff import Tensor
-
-@dataclass
-class LossBreakdown:
-    """Scalar loss for backward plus recorded component values.
-
-    ``total`` is the graph root until the batch is stepped; the client
-    update then keeps only its value, so a record holds no graph.
-    """
-
-    total: Tensor
-    recon: float = 0.0
-    r_z: float = 0.0
-    r_c: float = 0.0
-    kl_c_to_qc: float = 0.0
-    kl_c_to_mixture: float = 0.0
-    constraint_slack: float = 0.0
-    cross_entropy: float = 0.0
-
-    @property
-    def monitor(self) -> float:
-        """Batch estimate of KL(client mixture || global prior): slack + xi."""
-        return self.kl_c_to_qc - self.kl_c_to_mixture
-
-    def to_row(self) -> dict[str, float]:
-        """Every field by name, ``total`` as its value, not its tensor."""
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        row["total"] = self.total.item()
-        return row
 
 
 def bce_recon(logits: Tensor, x: Tensor) -> Tensor:
@@ -104,14 +81,13 @@ def hinge_max(first: Tensor, second: Tensor) -> Tensor:
 
 
 def loss_vanilla_vae(x: Tensor, qz: gaussians.DiagGaussian, model,
-                     rng: np.random.Generator) -> LossBreakdown:
+                     rng: np.random.Generator) -> tuple[Tensor, dict]:
     """Negative ELBO of the plain VAE: BCE + KL(q(z|x) || N(0, I)), with
     qz the batch's q(z|x)."""
     z = gaussians.reparameterize(qz, rng)
     recon = bce_recon(model.decode(z), x)
     r_z = gaussians.kl_to_standard(qz)
-    total = recon + r_z
-    return LossBreakdown(total=total, recon=recon.item(), r_z=r_z.item())
+    return recon + r_z, {"recon": recon.item(), "r_z": r_z.item()}
 
 
 def elbo_sum(recons: Sequence[Tensor], r_z: Tensor | None = None,
@@ -164,7 +140,7 @@ def _draw_recon(x: Tensor, qz: gaussians.DiagGaussian, model,
 def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
                 alpha: float, beta: float, rng: np.random.Generator,
                 n_samples: int = 1,
-                product: Tensor | None = None) -> LossBreakdown:
+                product: Tensor | None = None) -> tuple[Tensor, dict]:
     """Client-specific negative ELBO with the hinge personalization penalty.
 
     qz is the batch's q(z|x), and product its model.pixel_product(x),
@@ -197,21 +173,22 @@ def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
 
     kl_qc_v /= n_samples
     kl_mix_v /= n_samples
-    return LossBreakdown(
-        total=elbo_sum(recons, r_z, r_cs, alpha, beta),
-        recon=recon_v / n_samples,
-        r_z=r_z.item(),
-        r_c=r_c_v / n_samples,
-        kl_c_to_qc=kl_qc_v,
-        kl_c_to_mixture=kl_mix_v,
-        constraint_slack=kl_qc_v - kl_mix_v - xi,
-    )
+    return elbo_sum(recons, r_z, r_cs, alpha, beta), {
+        "recon": recon_v / n_samples,
+        "r_z": r_z.item(),
+        "r_c": r_c_v / n_samples,
+        "kl_c_to_qc": kl_qc_v,
+        "kl_c_to_mixture": kl_mix_v,
+        "constraint_slack": kl_qc_v - kl_mix_v - xi,
+        "cross_entropy": 0.0,
+    }
 
 
 def loss_classifier(x: Tensor, qz: gaussians.DiagGaussian, labels: np.ndarray,
                     model, xi: float, alpha: float, beta: float, gamma: float,
                     rng: np.random.Generator, frozen: bool = False,
-                    latents: str = "both", n_samples: int = 1) -> LossBreakdown:
+                    latents: str = "both", n_samples: int = 1
+                    ) -> tuple[Tensor, dict]:
     """ELBO (n_samples draws) plus gamma-weighted cross-entropy on the
     posterior means.
 
@@ -220,22 +197,22 @@ def loss_classifier(x: Tensor, qz: gaussians.DiagGaussian, labels: np.ndarray,
     detaches the means so the CE gradient stops at the head.
     """
     product = model.pixel_product(x)
-    breakdown = loss_feddva(x, qz, model, xi, alpha, beta, rng,
-                            n_samples=n_samples, product=product)
+    elbo, values = loss_feddva(x, qz, model, xi, alpha, beta, rng,
+                               n_samples=n_samples, product=product)
     z_mu = qz.mu
     c_mu = model.encode_c(x, z_mu, product).mu
     if frozen:
         z_mu, c_mu = z_mu.detach(), c_mu.detach()
     ce = cross_entropy(model.classify(z_mu, c_mu, latents), labels)
-    breakdown.total = breakdown.total + ad.scale(ce, gamma)
-    breakdown.cross_entropy = ce.item()
-    return breakdown
+    values["cross_entropy"] = ce.item()
+    return elbo + ad.scale(ce, gamma), values
 
 
 def loss_local(x: Tensor, qz: gaussians.DiagGaussian, model,
                rng: np.random.Generator, n_samples: int, product: Tensor,
                head: tuple[Tensor, Tensor, np.ndarray] | None = None,
-               gamma: float = 0.0, latents: str = "both") -> Tensor:
+               gamma: float = 0.0, latents: str = "both"
+               ) -> tuple[Tensor, dict]:
     """The terms of loss_feddva, or of loss_classifier given head, whose
     gradient reaches the decoder and head while the encoders are frozen.
 
@@ -244,7 +221,8 @@ def loss_local(x: Tensor, qz: gaussians.DiagGaussian, model,
     gamma times the head's cross-entropy over those posterior means. qz,
     product and the means are the frozen encoders' constants, so r_z, r_c
     and the head's encode_c, which take no gradient, are not computed; the
-    local group's gradient is bitwise the one the full loss gives.
+    local group's gradient is bitwise the one the full loss gives. Its
+    values are empty: phase 1 keeps no record.
     """
     total = elbo_sum([_draw_recon(x, qz, model, rng, product)[0]
                       for _ in range(n_samples)])
@@ -252,10 +230,11 @@ def loss_local(x: Tensor, qz: gaussians.DiagGaussian, model,
         z_mu, c_mu, labels = head
         ce = cross_entropy(model.classify(z_mu, c_mu, latents), labels)
         total = total + ad.scale(ce, gamma)
-    return total
+    return total, {}
 
 
-def loss_fedavg_classifier(x: Tensor, labels: np.ndarray, model) -> LossBreakdown:
+def loss_fedavg_classifier(x: Tensor, labels: np.ndarray,
+                           model) -> tuple[Tensor, dict]:
     """Plain cross-entropy for the vanilla federated baseline."""
     ce = cross_entropy(model.predict_logits(x), labels)
-    return LossBreakdown(total=ce, cross_entropy=ce.item())
+    return ce, {"cross_entropy": ce.item()}

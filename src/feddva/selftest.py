@@ -111,7 +111,7 @@ def check_loss_gradient():
 
     def fn():
         return loss_feddva(x, model.encode_z(x), model, xi=0.6, alpha=1.0,
-                           beta=0.75, rng=np.random.default_rng(11)).total
+                           beta=0.75, rng=np.random.default_rng(11))[0]
 
     return _grad_ok(fn, model.all_parameters())
 

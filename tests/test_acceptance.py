@@ -132,7 +132,7 @@ def test_criterion_1_gradient_correctness():
         x = Tensor(rng.uniform(0, 1, (3, 4)))
         fn = lambda: loss_feddva(x, model.encode_z(x), model, xi=0.6,
                                  alpha=1.0, beta=0.75,
-                                 rng=np.random.default_rng(77 + i)).total
+                                 rng=np.random.default_rng(77 + i))[0]
         err, ok = grad_check(fn, model.all_parameters(), h=1e-4, tol=1e-4)
         assert ok, f"loss instance {i}: rel err {err}"
         count += 1
@@ -243,7 +243,7 @@ def test_criterion_4_federation_algebra():
         p = Tensor(np.asarray(1.0), requires_grad=True)
         q = Tensor(np.asarray(2.0), requires_grad=True)
         groups = ([q], [p]) if swapped else ([p], [q])
-        two_phase_update(lambda _: ad.square(ad.mul(p, q)),
+        two_phase_update(lambda _: (ad.square(ad.mul(p, q)), {}),
                          lambda phase, epoch: iter([0]), groups[0], groups[1],
                          0.1, 0.1, 1)
         return p.item(), q.item()

@@ -126,3 +126,24 @@ def test_every_span_the_harness_reads_is_registered(monkeypatch):
     finally:
         tracer.uninstall()
     assert read and sorted(read - set(tracer.names)) == []
+
+
+def test_feddva_rows_hold_every_key_the_harness_checks(monkeypatch):
+    # check_training fails a row that lacks any LOSS_KEYS, and the
+    # disentangle and fullscale workloads are reconstruct runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("harness", "tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    harness = importlib.import_module("harness")
+    for task, partition in (("reconstruct", "marked"),
+                            ("classify", "label-skew")):
+        cfg = ExperimentConfig(task=task, method="feddva", K=2, m=2, rounds=2,
+                               epochs_per_phase=1, batch_size=16,
+                               toy_per_class=12, toy_classes=2, toy_height=8,
+                               toy_width=8, hidden_dims=(8,), d_z=2, d_c=2,
+                               head_hidden=(), partition=partition, seed=4)
+        state = federation.run_rounds(cfg, federation.init_run(cfg))
+        for rec in state.history:
+            for stats in rec.clients.values():
+                for key in (*harness.LOSS_KEYS, "monitor_min"):
+                    assert np.isfinite(stats[key]), (task, key)

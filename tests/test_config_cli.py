@@ -341,6 +341,39 @@ def test_resume_continues_identically(tmp_path):
         _history_without_walltime(part_out / "history.jsonl")[-1]
 
 
+def test_a_run_with_no_round_left_starts_no_executor(tmp_path, monkeypatch):
+    entered = []
+    enter = federation.ClientExecutor.__enter__
+
+    def counted(executor):
+        entered.append(executor.n_procs)
+        return enter(executor)
+
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
+    cmd_train(cfg)
+    table = FINGERPRINT(out)
+    monkeypatch.setattr(federation.ClientExecutor, "__enter__", counted)
+    # --resume of a finished run has no round to train
+    assert cmd_train(cfg, resume=True) == 0
+    assert entered == [] and FINGERPRINT(out) == table
+    # nor has a fresh run of zero rounds
+    zero = FAST.replace("rounds = 3", "rounds = 0")
+    cfg = load_config(write_cfg(tmp_path, zero + "output_dir = "
+                                f"{tmp_path / 'zero'}\n"))
+    assert cmd_train(cfg) == 0 and entered == []
+    # fedavg-ft's finalize has no epoch to fine-tune at ft_epochs = 0
+    ft = ExperimentConfig(task="classify", method="fedavg-ft", K=2, m=2,
+                          rounds=1, epochs_per_phase=1, batch_size=16,
+                          toy_per_class=16, toy_classes=2, toy_height=8,
+                          toy_width=8, hidden_dims=(8,), d_z=2, d_c=2,
+                          partition="label-skew", ft_epochs=0, seed=3)
+    state = run_experiment(ft)
+    assert len(entered) == 1  # the round's, not finalize's
+    assert all(s.model.flatten_shared().tobytes() == state.theta.tobytes()
+               for s in state.shards)
+
+
 def test_resume_warns_on_changed_numeric_stack(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))

@@ -128,7 +128,7 @@ def test_two_phase_matches_hand_coordinate_descent():
     b = Tensor(np.asarray(2.0), requires_grad=True)
 
     def loss_fn(_):
-        return ad.square(ad.mul(a, b))
+        return ad.square(ad.mul(a, b)), {}
 
     def batch_stream(phase, epoch):
         yield 0
@@ -152,7 +152,7 @@ def test_phase_order_is_load_bearing():
         b = Tensor(np.asarray(2.0), requires_grad=True)
 
         def loss_fn(_):
-            return ad.square(ad.mul(a, b))
+            return ad.square(ad.mul(a, b)), {}
 
         def stream(phase, epoch):
             yield 0
@@ -173,7 +173,8 @@ def test_two_phase_freezes_the_group_it_does_not_step():
         seen.append((phase, [p.requires_grad for p in local],
                      [p.requires_grad for p in shared]))
         return ad.square(ad.mul(ad.add(local[0], local[1]),
-                                ad.add(ad.add(shared[0], shared[1]), shared[2])))
+                                ad.add(ad.add(shared[0], shared[1]),
+                                       shared[2]))), {}
 
     def stream(phase, epoch):
         yield phase
@@ -183,8 +184,10 @@ def test_two_phase_freezes_the_group_it_does_not_step():
     assert seen == [("local", [True] * 2, [False] * 3)] * 2 + \
         [("shared", [False] * 2, [True] * 3)] * 2
     assert all(p.requires_grad for p in local + shared)
-    # bare-tensor records keep the value only
-    assert len(records) == 2 and all(not r.parents for r in records)
+    # a record keeps the value of the total only
+    assert len(records) == 2
+    assert all(list(r) == ["total"] and type(r["total"]) is float
+               for r in records)
 
 
 def test_two_phase_restores_flags_when_loss_raises():
@@ -194,7 +197,7 @@ def test_two_phase_restores_flags_when_loss_raises():
         def loss_fn(phase):
             if phase == failing_phase:
                 raise FloatingPointError("non-finite loss")
-            return ad.square(ad.mul(local[0], shared[0]))
+            return ad.square(ad.mul(local[0], shared[0])), {}
 
         def stream(phase, epoch):
             yield phase
@@ -210,7 +213,8 @@ def test_two_phase_stops_at_a_non_finite_loss_before_stepping():
 
     def loss_fn(batch):
         loss = ad.add(a, b)
-        return ad.shift(loss, np.nan) if batch == ("shared", 1, 2) else loss
+        return (ad.shift(loss, np.nan) if batch == ("shared", 1, 2)
+                else loss), {}
 
     def stream(phase, epoch):
         for i in (1, 2, 3):
@@ -233,8 +237,8 @@ def test_two_phase_skips_a_phase_with_an_empty_group():
         phases.append((phase, epoch))
         yield 0
 
-    records, _ = two_phase_update(lambda _: ad.square(a), stream, [], [a],
-                               0.1, 0.1, 3)
+    records, _ = two_phase_update(lambda _: (ad.square(a), {}), stream, [],
+                                  [a], 0.1, 0.1, 3)
     assert phases == [("shared", 0), ("shared", 1), ("shared", 2)]
     assert len(records) == 3
     assert a.item() == pytest.approx(0.8 ** 3, rel=1e-12)
@@ -294,12 +298,13 @@ def test_client_update_records_hold_no_graph():
     _, records, _ = client_update(state.shards[0], state.theta, cfg, 1)
     assert records
     for r in records:
-        assert r.total.op == "leaf" and not r.total.parents
-        assert not r.total.requires_grad and np.isfinite(r.total.item())
+        assert type(r) is dict and r
+        assert all(type(v) is float and np.isfinite(v) for v in r.values())
     cfg_fedavg = small_cfg(task="classify", method="fedavg")
     state = init_run(cfg_fedavg)
     _, records, _ = client_update(state.shards[0], state.theta, cfg_fedavg, 1)
-    assert records and all(r.total.op == "leaf" for r in records)
+    assert records and all(type(v) is float
+                           for r in records for v in r.values())
 
 
 def test_client_update_zero_lrs_are_noop():
@@ -390,8 +395,8 @@ def test_phase_leaving_a_non_finite_parameter_raises():
     # a finite loss whose step sends a to -inf
     with pytest.raises(FloatingPointError,
                        match="non-finite parameter after phase 1"):
-        two_phase_update(lambda _: ad.sum_all(ad.mul(a, b)), stream, [a], [b],
-                         float("inf"), 0.1, 1)
+        two_phase_update(lambda _: (ad.sum_all(ad.mul(a, b)), {}), stream,
+                         [a], [b], float("inf"), 0.1, 1)
 
 
 def test_history_times_each_phase():
@@ -473,6 +478,31 @@ def test_history_records_monitor_fields():
         assert stats["n_batches"] > 0
     d = rec.to_json_dict()
     assert set(d) == {"round", "sampled", "clients", "wall_time"}
+
+
+ROW_COMMON = {"n_batches", "update_s", "phase1_s", "phase2_s"}
+FEDDVA_ROW = {"total", "recon", "r_z", "r_c", "kl_c_to_qc", "kl_c_to_mixture",
+              "constraint_slack", "cross_entropy", "monitor_min",
+              "monitor_mean", "monitor_frac_ge_xi"}
+
+
+@pytest.mark.parametrize("over, measured", [
+    (dict(task="classify", method="fedavg", partition="label-skew"),
+     {"total", "cross_entropy"}),
+    (dict(task="classify", method="fedavg-ft", partition="label-skew"),
+     {"total", "cross_entropy"}),
+    (dict(method="vanilla-vae"), {"total", "recon", "r_z"}),
+    (dict(), FEDDVA_ROW),
+    (dict(task="classify", partition="label-skew"), FEDDVA_ROW)])
+def test_history_row_holds_only_what_the_method_measured(over, measured):
+    cfg = small_cfg(rounds=2, **over)
+    state = run_experiment(cfg)
+    for rec in state.history:
+        evaluated = cfg.task == "classify" and rec.round == 2
+        for stats in rec.clients.values():
+            assert set(stats) == measured | ROW_COMMON | (
+                {"accuracy"} if evaluated else set())
+            assert all(np.isfinite(v) for v in stats.values())
 
 
 def test_fedavg_baseline_and_finetune():

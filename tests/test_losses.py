@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor, backward, sgd_step
 from feddva.gaussians import kl_to_standard
-from feddva.losses import (LossBreakdown, bce_recon, cross_entropy, elbo_sum,
-                           hinge_max, loss_classifier, loss_feddva, loss_local,
+from feddva.losses import (bce_recon, cross_entropy, elbo_sum, hinge_max,
+                           loss_classifier, loss_feddva, loss_local,
                            loss_vanilla_vae)
 from feddva.model import ArchitectureConfig, DvaModel, VanillaVaeModel
 from oracles import grad_check
@@ -180,21 +180,22 @@ def test_feddva_breakdown_identity():
     m = tiny_model(seed=2)
     alpha, beta, xi = 0.7, 0.4, 1.3
     x = tiny_batch(n=4)
-    b = loss_feddva(x, m.encode_z(x), m, xi, alpha, beta,
-                    np.random.default_rng(5))
-    assert b.total.item() == pytest.approx(
-        b.recon + alpha * b.r_z + beta * b.r_c, rel=1e-12)
-    assert b.r_c == pytest.approx(max(xi + b.kl_c_to_mixture, b.kl_c_to_qc))
-    assert b.constraint_slack == pytest.approx(
-        b.kl_c_to_qc - b.kl_c_to_mixture - xi)
+    total, b = loss_feddva(x, m.encode_z(x), m, xi, alpha, beta,
+                           np.random.default_rng(5))
+    assert total.item() == pytest.approx(
+        b["recon"] + alpha * b["r_z"] + beta * b["r_c"], rel=1e-12)
+    assert b["r_c"] == pytest.approx(max(xi + b["kl_c_to_mixture"],
+                                         b["kl_c_to_qc"]))
+    assert b["constraint_slack"] == pytest.approx(
+        b["kl_c_to_qc"] - b["kl_c_to_mixture"] - xi)
 
 
 def test_feddva_zero_weights_leave_recon():
     m = tiny_model(seed=3)
     x = tiny_batch(n=3)
-    b = loss_feddva(x, m.encode_z(x), m, xi=2.0, alpha=0.0, beta=0.0,
-                    rng=np.random.default_rng(6))
-    assert b.total.item() == pytest.approx(b.recon, rel=1e-12)
+    total, b = loss_feddva(x, m.encode_z(x), m, xi=2.0, alpha=0.0, beta=0.0,
+                           rng=np.random.default_rng(6))
+    assert total.item() == pytest.approx(b["recon"], rel=1e-12)
 
 
 def test_feddva_satisfied_constraint_selects_kl_branch():
@@ -205,11 +206,11 @@ def test_feddva_satisfied_constraint_selects_kl_branch():
         layer.w.data[:] = 0.0
         layer.b.data[:] = 0.6
     x = tiny_batch(n=4)
-    b = loss_feddva(x, m.encode_z(x), m, xi=0.0, alpha=1.0, beta=1.0,
-                    rng=np.random.default_rng(7))
-    assert b.kl_c_to_mixture == pytest.approx(0.0, abs=1e-12)
-    assert b.r_c == pytest.approx(b.kl_c_to_qc)
-    assert b.kl_c_to_qc > 0.0
+    _, b = loss_feddva(x, m.encode_z(x), m, xi=0.0, alpha=1.0, beta=1.0,
+                       rng=np.random.default_rng(7))
+    assert b["kl_c_to_mixture"] == pytest.approx(0.0, abs=1e-12)
+    assert b["r_c"] == pytest.approx(b["kl_c_to_qc"])
+    assert b["kl_c_to_qc"] > 0.0
 
 
 def test_feddva_identical_posteriors_hinge_floor():
@@ -219,9 +220,10 @@ def test_feddva_identical_posteriors_hinge_floor():
         layer.b.data[:] = 0.2
     xi = 50.0
     x = tiny_batch(n=4)
-    b = loss_feddva(x, m.encode_z(x), m, xi=xi, alpha=1.0, beta=1.0,
-                    rng=np.random.default_rng(8))
-    assert b.r_c == pytest.approx(max(xi, b.kl_c_to_qc)) == pytest.approx(xi)
+    _, b = loss_feddva(x, m.encode_z(x), m, xi=xi, alpha=1.0, beta=1.0,
+                       rng=np.random.default_rng(8))
+    assert b["r_c"] == pytest.approx(max(xi, b["kl_c_to_qc"])) == \
+        pytest.approx(xi)
 
 
 def test_vanilla_kl_term_delegates():
@@ -229,43 +231,44 @@ def test_vanilla_kl_term_delegates():
     rng = np.random.default_rng(1)
     m.z_mu.w.data = rng.uniform(-0.5, 0.5, m.z_mu.w.data.shape)
     x = tiny_batch(n=4)
-    b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(2))
-    assert b.r_z == pytest.approx(kl_to_standard(m.encode_z(x)).item(), rel=1e-12)
+    _, b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(2))
+    assert b["r_z"] == pytest.approx(kl_to_standard(m.encode_z(x)).item(),
+                                     rel=1e-12)
 
 
 def test_vanilla_zero_kl_means_total_is_recon():
     m = VanillaVaeModel(TINY, np.random.default_rng(3))
     # zero heads are the init default: posterior exactly N(0, I)
     x = tiny_batch(n=3)
-    b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(4))
-    assert b.r_z == 0.0
-    assert b.total.item() == pytest.approx(b.recon, rel=1e-12)
+    total, b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(4))
+    assert b["r_z"] == 0.0
+    assert total.item() == pytest.approx(b["recon"], rel=1e-12)
 
 
 def test_classifier_gamma_zero_reduces_to_feddva():
     m = tiny_model(seed=5)
     x = tiny_batch(n=4)
     labels = np.array([0, 1, 2, 0])
-    b = loss_classifier(x, m.encode_z(x), labels, m, xi=1.0, alpha=1.0,
-                        beta=0.5, gamma=0.0, rng=np.random.default_rng(9))
-    ref = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
-                      rng=np.random.default_rng(9))
-    assert b.total.item() == pytest.approx(ref.total.item(), rel=1e-12)
+    b, _ = loss_classifier(x, m.encode_z(x), labels, m, xi=1.0, alpha=1.0,
+                           beta=0.5, gamma=0.0, rng=np.random.default_rng(9))
+    ref, _ = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
+                         rng=np.random.default_rng(9))
+    assert b.item() == pytest.approx(ref.item(), rel=1e-12)
 
 
 def test_classifier_passes_sample_count_to_elbo():
     m = tiny_model(seed=5)
     x = tiny_batch(n=4)
     labels = np.array([0, 1, 2, 0])
-    b = loss_classifier(x, m.encode_z(x), labels, m, xi=1.0, alpha=1.0,
-                        beta=0.5, gamma=0.0, rng=np.random.default_rng(9),
-                        n_samples=2)
-    ref = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
-                      rng=np.random.default_rng(9), n_samples=2)
-    one = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
-                      rng=np.random.default_rng(9))
-    assert b.total.item() == pytest.approx(ref.total.item(), rel=1e-12)
-    assert b.total.item() != pytest.approx(one.total.item(), rel=1e-6)
+    b, _ = loss_classifier(x, m.encode_z(x), labels, m, xi=1.0, alpha=1.0,
+                           beta=0.5, gamma=0.0, rng=np.random.default_rng(9),
+                           n_samples=2)
+    ref, _ = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
+                         rng=np.random.default_rng(9), n_samples=2)
+    one, _ = loss_feddva(x, m.encode_z(x), m, xi=1.0, alpha=1.0, beta=0.5,
+                         rng=np.random.default_rng(9))
+    assert b.item() == pytest.approx(ref.item(), rel=1e-12)
+    assert b.item() != pytest.approx(one.item(), rel=1e-6)
 
 
 def test_classifier_frozen_mode_keeps_encoder_ce_free():
@@ -273,20 +276,20 @@ def test_classifier_frozen_mode_keeps_encoder_ce_free():
     x = tiny_batch(n=4)
     labels = np.array([0, 1, 2, 0])
     # gamma-only loss: frozen mode must leave encoder grads at zero
-    b = loss_classifier(x, m.encode_z(x), labels, m, xi=0.0, alpha=0.0,
-                        beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
-                        frozen=True)
+    b, _ = loss_classifier(x, m.encode_z(x), labels, m, xi=0.0, alpha=0.0,
+                           beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
+                           frozen=True)
     ad.zero_grads(m.all_parameters())
-    backward(b.total)
+    backward(b)
     head_grads = [p.grad for p in m.head.params + m.head_out.params]
     assert any(g is not None and np.abs(g).max() > 0 for g in head_grads)
     # encoder grads exist only via the recon term; compare against unfrozen
     m2 = tiny_model(seed=6)
-    b2 = loss_classifier(x, m2.encode_z(x), labels, m2, xi=0.0, alpha=0.0,
-                         beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
-                         frozen=False)
+    b2, _ = loss_classifier(x, m2.encode_z(x), labels, m2, xi=0.0, alpha=0.0,
+                            beta=0.0, gamma=1.0, rng=np.random.default_rng(10),
+                            frozen=False)
     ad.zero_grads(m2.all_parameters())
-    backward(b2.total)
+    backward(b2)
     g_frozen = np.concatenate([p.grad.reshape(-1) for p in m.shared_parameters()])
     g_joint = np.concatenate([p.grad.reshape(-1) for p in m2.shared_parameters()])
     assert not np.allclose(g_frozen, g_joint)
@@ -299,7 +302,7 @@ def test_full_loss_gradient_completeness():
 
     def fn():
         return loss_feddva(x, m.encode_z(x), m, xi=0.7, alpha=1.0, beta=0.75,
-                           rng=np.random.default_rng(123)).total
+                           rng=np.random.default_rng(123))[0]
 
     err, ok = grad_check(fn, m.all_parameters())
     assert ok, f"max rel err {err}"
@@ -313,7 +316,7 @@ def test_classifier_loss_gradient_completeness():
     def fn():
         return loss_classifier(x, m.encode_z(x), labels, m, xi=0.4, alpha=1.0,
                                beta=0.75, gamma=1.0,
-                               rng=np.random.default_rng(99)).total
+                               rng=np.random.default_rng(99))[0]
 
     err, ok = grad_check(fn, m.all_parameters())
     assert ok, f"max rel err {err}"
@@ -352,7 +355,8 @@ def test_single_sample_estimator_unbiased_in_recon():
     qz = m.encode_z(x)
     master = np.random.default_rng(2024)
     draws = np.array([
-        loss_feddva(x, qz, m, xi=0.5, alpha=1.0, beta=0.5, rng=master).recon
+        loss_feddva(x, qz, m, xi=0.5, alpha=1.0, beta=0.5,
+                    rng=master)[1]["recon"]
         for _ in range(10**4)
     ])
     # the reference does not run the estimator under test
@@ -369,24 +373,24 @@ def test_vanilla_training_smoke_loss_decreases():
     data = np.random.default_rng(1).uniform(0, 1, (32, 16)) > 0.5
     x = Tensor(data.astype(float))
     rng = np.random.default_rng(2)
-    first = loss_vanilla_vae(x, m.encode_z(x), m, rng).total.item()
+    first = loss_vanilla_vae(x, m.encode_z(x), m, rng)[0].item()
     for _ in range(200):
-        b = loss_vanilla_vae(x, m.encode_z(x), m, rng)
-        backward(b.total)
+        total, _ = loss_vanilla_vae(x, m.encode_z(x), m, rng)
+        backward(total)
         sgd_step(m.all_parameters(), 0.05)
         ad.zero_grads(m.all_parameters())
-    last = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(3))
-    assert last.total.item() < first
+    last, _ = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(3))
+    assert last.item() < first
 
 
 def test_multi_sample_estimator_averages():
     m = tiny_model(seed=13)
     x = tiny_batch(seed=14, n=3)
-    b = loss_feddva(x, m.encode_z(x), m, xi=0.5, alpha=1.0, beta=0.5,
-                    rng=np.random.default_rng(0), n_samples=4)
-    assert np.isfinite(b.total.item())
-    assert b.total.item() == pytest.approx(
-        b.recon + 1.0 * b.r_z + 0.5 * b.r_c, rel=1e-6)
+    total, b = loss_feddva(x, m.encode_z(x), m, xi=0.5, alpha=1.0, beta=0.5,
+                           rng=np.random.default_rng(0), n_samples=4)
+    assert np.isfinite(total.item())
+    assert total.item() == pytest.approx(
+        b["recon"] + 1.0 * b["r_z"] + 0.5 * b["r_c"], rel=1e-6)
 
 
 # ------------------------------------------------ one-node sum, phase 1
@@ -464,14 +468,16 @@ def test_phase_1_loss_steps_the_local_group_as_the_full_loss(n_samples,
     xi, alpha, beta, gamma = 0.3, 0.9, 1.4, 2.5
     full_rng, local_rng = np.random.default_rng(8), np.random.default_rng(8)
     if classify:
-        full = loss_classifier(x, qz, labels, m, xi, alpha, beta, gamma,
-                               full_rng, n_samples=n_samples)
+        full, _ = loss_classifier(x, qz, labels, m, xi, alpha, beta, gamma,
+                                  full_rng, n_samples=n_samples)
         head = (qz.mu, m.encode_c(x, qz.mu, product).mu, labels)
     else:
-        full = loss_feddva(x, qz, m, xi, alpha, beta, full_rng,
-                           n_samples=n_samples)
+        full, _ = loss_feddva(x, qz, m, xi, alpha, beta, full_rng,
+                              n_samples=n_samples)
         head = None
-    local = loss_local(x, qz, m, local_rng, n_samples, product, head, gamma)
-    want = local_grads(m, full.total)
+    local, values = loss_local(x, qz, m, local_rng, n_samples, product, head,
+                               gamma)
+    assert values == {}
+    want = local_grads(m, full)
     assert want[0] is not None and local_grads(m, local) == want
     assert full_rng.bit_generator.state == local_rng.bit_generator.state
