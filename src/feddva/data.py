@@ -344,32 +344,85 @@ def _draw_stroke(canvas, stroke):
             canvas[i, max(0, j - 1):j + 1] = 1.0
 
 
+def _toy_glyphs(n_classes: int, height: int, width: int) -> np.ndarray:
+    """[C, 3, 3, H, W]: class cls's glyph rolled by (dy, dx) at
+    [cls, dy + 1, dx + 1]."""
+    templates = np.zeros((n_classes, height, width))
+    for cls in range(n_classes):
+        for stroke in _GLYPHS[cls]:
+            _draw_stroke(templates[cls], stroke)
+    glyphs = np.empty((n_classes, 3, 3, height, width))
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            glyphs[:, dy + 1, dx + 1] = np.roll(templates, (dy, dx),
+                                                axis=(1, 2))
+    return glyphs
+
+
+def _jitter_draws(first: np.ndarray) -> np.ndarray:
+    """[2, n] the 32-bit draws of dy + 1, then dx + 1: the low, then the high
+    half of each image's first raw, the order Generator.integers takes them
+    in."""
+    return np.stack([first & 0xFFFFFFFF, first >> 32])
+
+
+def _toy_images_per_image(glyphs, labels, rng) -> np.ndarray:
+    """The images drawn one at a time through the Generator calls whose
+    stream make_toy_digits decodes."""
+    images = np.empty((labels.size, *glyphs.shape[-2:]))
+    for at, cls in enumerate(labels):
+        dy, dx = rng.integers(-1, 2, size=2)
+        # in [0, 1] as drawn: a 0/1 glyph scaled below 1, noise below 0.05
+        img = glyphs[cls, dy + 1, dx + 1] * rng.uniform(0.85, 1.0)
+        np.maximum(img, rng.uniform(0.0, 0.05, size=img.shape),
+                   out=images[at])
+    return images
+
+
 def make_toy_digits(n_per_class: int, n_classes: int, height: int, width: int,
                     seed: int) -> Dataset:
-    """Procedural class-distinct glyphs with per-sample jitter."""
+    """Procedural class-distinct glyphs with per-sample jitter.
+
+    The stream: np.random.default_rng(seed) draws, for each image in class
+    order, integers(-1, 2, size=2) for (dy, dx), uniform(0.85, 1.0) for the
+    glyph's scale and uniform(0.0, 0.05, size=(H, W)) for the noise; the
+    image is max(scale * rolled glyph, noise), and permutation(n) then
+    shuffles the images. One random_raw call of n * (2 + H*W) raws decodes
+    that stream: image i's first raw holds dy and dx in its low and high
+    32-bit halves, each ((u * 3) >> 32) - 1 (numpy's bounded-integer rule,
+    Lemire 2019), and each later raw is a double u = (raw >> 11) * 2**-53,
+    the scale 0.85 + (1.0 - 0.85) * u and the noise 0.05 * u. numpy redraws
+    a 32-bit half that is 0, which shifts the rest of the stream, so then
+    a fresh generator makes the calls one image at a time.
+    """
     if height < TOY_MIN_SIDE or width < TOY_MIN_SIDE:
         raise ValueError(f"toy digits need height, width >= {TOY_MIN_SIDE}, "
                          f"got {height}x{width}")
     if not 1 <= n_classes <= TOY_MAX_CLASSES:
         raise ValueError(f"toy generator supports 1..{TOY_MAX_CLASSES} "
                          f"classes, got {n_classes}")
-    rng = np.random.default_rng(seed)
-    images = np.empty((n_per_class * n_classes, height, width))
+    n = n_per_class * n_classes
+    glyphs = _toy_glyphs(n_classes, height, width)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
-    at = 0
-    for cls in range(n_classes):
-        template = np.zeros((height, width))
-        for stroke in _GLYPHS[cls]:
-            _draw_stroke(template, stroke)
-        # the nine jittered glyphs, indexed by [dy + 1, dx + 1]
-        shifted = [[np.roll(np.roll(template, dy, axis=0), dx, axis=1)
-                    for dx in (-1, 0, 1)] for dy in (-1, 0, 1)]
-        for _ in range(n_per_class):
-            dy, dx = rng.integers(-1, 2, size=2)
-            # in [0, 1] as drawn: a 0/1 glyph scaled below 1, noise below 0.05
-            img = shifted[dy + 1][dx + 1] * rng.uniform(0.85, 1.0)
-            np.maximum(img, rng.uniform(0.0, 0.05, size=img.shape),
-                       out=images[at])
-            at += 1
-    perm = rng.permutation(at)
+    rng = np.random.default_rng(seed)
+    row = 2 + height * width
+    raw = rng.bit_generator.random_raw(n * row).reshape(n, row)
+    draws = _jitter_draws(raw[:, 0])
+    if draws.all():
+        dy, dx = (draws * 3) >> 32  # the indices dy + 1 and dx + 1
+        # shifted in place and dropped before the images are made, the raws
+        # leave at most two dataset-sized arrays alive, as the loop does
+        np.right_shift(raw, 11, out=raw)
+        scale = 0.85 + (1.0 - 0.85) * (raw[:, 1] * 2.0**-53)
+        noise = raw[:, 2:] * 2.0**-53
+        del raw
+        noise *= 0.05
+        images = glyphs[labels, dy, dx]
+        images *= scale[:, None, None]
+        np.maximum(images, noise.reshape(images.shape), out=images)
+        del noise
+    else:
+        rng = np.random.default_rng(seed)
+        images = _toy_images_per_image(glyphs, labels, rng)
+    perm = rng.permutation(n)
     return Dataset(images=images[perm], labels=labels[perm])

@@ -1,7 +1,8 @@
 """Fast invariant suite behind the `selftest` CLI command.
 
 Each check re-derives its expected values independently (finite
-differences, Monte Carlo, hand arithmetic) and prints one pass/fail line.
+differences, Monte Carlo, hand arithmetic, the Generator calls a decode
+stands for) and prints one pass/fail line.
 Budget is well under a minute. KL checks resolve the functions through
 the gaussians and metrics modules at call time, so a corrupted formula is
 caught even if patched in after import.
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from . import gaussians, metrics
+from . import data, gaussians, metrics
 from .autodiff import Tensor, backward, zero_grads
 from .config import ExperimentConfig
 from .federation import aggregate
@@ -258,6 +259,23 @@ def check_config_round_trip():
     return True, "lossless text round trip"
 
 
+def check_toy_digits_stream():
+    """make_toy_digits' decode of one block of raw draws against the
+    Generator calls it decodes, made one image at a time."""
+    n_per_class, n_classes, height, width, seed = 4, 3, 9, 8, 5
+    got = data.make_toy_digits(n_per_class, n_classes, height, width, seed)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    rng = np.random.default_rng(seed)
+    images = data._toy_images_per_image(
+        data._toy_glyphs(n_classes, height, width), labels, rng)
+    perm = rng.permutation(labels.size)
+    if (got.images.tobytes() != images[perm].tobytes()
+            or got.labels.tobytes() != labels[perm].tobytes()):
+        return False, "the block decode differs from the per-image draws"
+    return True, (f"{n_classes} classes x {n_per_class} images at "
+                  f"{height}x{width}, byte for byte")
+
+
 CHECKS = [
     ("op-gradients-vs-finite-differences", check_op_gradients),
     ("objective-gradient-vs-finite-differences", check_loss_gradient),
@@ -267,6 +285,7 @@ CHECKS = [
     ("aggregation-algebra", check_aggregation_algebra),
     ("reparameterization-identity", check_reparameterization),
     ("config-round-trip", check_config_round_trip),
+    ("toy-digits-stream", check_toy_digits_stream),
 ]
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import feddva.autodiff as ad
+import feddva.data
 import feddva.gaussians
 import feddva.metrics
 from feddva import blas, federation
@@ -1114,3 +1115,15 @@ def test_selftest_catches_mutated_mixture_kl_estimator(monkeypatch):
     assert run_selftest(out=lines.append) == 1
     assert [l.split(":")[0] for l in lines if l.startswith("[FAIL]")] == [
         "[FAIL] mixture-kl-estimator"]
+
+
+def test_selftest_catches_swapped_toy_digit_jitter_halves(monkeypatch):
+    # dy from the high half of each first raw and dx from the low half:
+    # the block still decodes, but not the stream Generator.integers reads
+    exact = feddva.data._jitter_draws
+    monkeypatch.setattr(feddva.data, "_jitter_draws",
+                        lambda first: exact(first)[::-1])
+    lines = []
+    assert run_selftest(out=lines.append) == 1
+    assert [l.split(":")[0] for l in lines if l.startswith("[FAIL]")] == [
+        "[FAIL] toy-digits-stream"]

@@ -278,10 +278,66 @@ def same_bytes(*pairs):
     return all(a.tobytes() == b.tobytes() for a, b in pairs)
 
 
-@pytest.mark.parametrize("seed,h,w", SEEDS_AND_SIZES)
-def test_toy_digits_match_per_sample_oracle(seed, h, w):
-    ds = make_toy_digits(9, 8, h, w, seed)
-    images, labels = toy_digits_per_sample(9, 8, h, w, seed)
+@pytest.mark.parametrize("n_per_class,n_classes,seed,h,w", [
+    *(pytest.param(9, 8, seed, h, w, id=f"{seed}-{h}-{w}")
+      for seed, h, w in SEEDS_AND_SIZES),
+    # the data of both benchmark workloads, on two seeds
+    *(pytest.param(n, 4, seed, 16, 16, id=f"{n}x4-{seed}-16-16")
+      for n in (160, 640) for seed in (1, 2)),
+    # the config's extremes of classes, at the smallest side
+    pytest.param(5, 1, 3, 8, 8, id="5x1-3-8-8"),
+    pytest.param(5, 8, 3, 8, 8, id="5x8-3-8-8"),
+])
+def test_toy_digits_match_per_sample_oracle(n_per_class, n_classes, seed, h,
+                                            w):
+    ds = make_toy_digits(n_per_class, n_classes, h, w, seed)
+    images, labels = toy_digits_per_sample(n_per_class, n_classes, h, w, seed)
+    assert same_bytes((ds.images, images), (ds.labels, labels))
+
+
+# numpy's PCG64 (pcg64.h): state <- state * MULT + inc, then the output is
+# the XSL-RR of the new state, rotr64(high ^ low, state >> 122)
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_raw_at(index, raw):
+    """A PCG64 whose raw draw number `index` is `raw`: the stepped state is
+    built with rotation 0 and high ^ low == raw, then stepped back."""
+    high = 0x0123456789ABCDEF  # top 6 bits clear: rotation 0
+    inc = 0xDA3E39CB94B95BDB
+    state = (high << 64) | (high ^ raw)
+    inverse = pow(PCG64_MULT, -1, 2 ** 128)
+    for _ in range(index + 1):
+        state = (state - inc) * inverse % 2 ** 128
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+@pytest.mark.parametrize("image,raw", [(0, 0x9E3779B9 << 32),
+                                       (2, 0x7F4A7C15)],
+                         ids=["low-half-of-image-0", "high-half-of-image-2"])
+def test_toy_digits_zero_half_matches_oracle(monkeypatch, image, raw):
+    # no seed is known to draw a zero 32-bit half, so every generator here
+    # starts where one comes up in the first raw of the given image
+    n_per_class, n_classes, h, w = 3, 2, 8, 9
+    index = image * (2 + h * w)
+    block = np.random.Generator(pcg64_raw_at(index, raw)).bit_generator
+    assert block.random_raw(index + 1)[index] == raw
+    made = []
+
+    def crafted(seed):
+        made.append(seed)
+        return np.random.Generator(pcg64_raw_at(index, raw))
+
+    monkeypatch.setattr(np.random, "default_rng", crafted)
+    ds = make_toy_digits(n_per_class, n_classes, h, w, seed=4)
+    # the block is drawn, then the images are made again, one at a time,
+    # from a fresh generator
+    assert made == [4, 4]
+    images, labels = toy_digits_per_sample(n_per_class, n_classes, h, w, 4)
     assert same_bytes((ds.images, images), (ds.labels, labels))
 
 
