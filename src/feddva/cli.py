@@ -46,7 +46,9 @@ from .metrics import (accuracy_per_client, clustering_report, encode_shards,
 
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 # the keys eval may set: they shape the report, not the model it scores
-EVAL_KEYS = ("traversal_steps", "traversal_span")
+EVAL_KEYS = ("traversal_steps",)
+# how far a traversal sweeps either side of its anchor
+TRAVERSAL_SPAN = 2.0
 # the key --resume may set, to take the run further
 RESUME_KEYS = ("rounds",)
 
@@ -297,7 +299,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_dir: str | None = None) -> int:
         for s, code in zip(state.shards, codes):
             grid = latent_traversal(s, code, anchor=0,
                                     steps=cfg.traversal_steps,
-                                    span=cfg.traversal_span)
+                                    span=TRAVERSAL_SPAN)
             export_grid_image(grid, eval_dir / f"traversal_client{s.id:03d}.pgm")
 
     if cfg.task == "classify":

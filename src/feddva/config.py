@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 
 from .data import (MIN_PER_CLIENT, MIN_PER_MARKED_CLIENT, TOY_MAX_CLASSES,
                    TOY_MIN_SIDE)
-from .model import ACTIVATIONS
 
 TASKS = ("reconstruct", "classify")
 METHODS = ("feddva", "fedavg", "fedavg-ft", "vanilla-vae")
@@ -63,14 +62,12 @@ class ExperimentConfig:
     toy_width: int = 16
     hidden_dims: tuple[int, ...] = (256, 256)
     head_hidden: tuple[int, ...] = (64,)
-    activation: str = "relu"
     classifier_latents: str = "both"
     classifier_frozen: bool = False
     ft_epochs: int = 5
     eval_every: int = 5
     checkpoint_every: int = 10
     traversal_steps: int = 7
-    traversal_span: float = 2.0
     output_dir: str = "runs/out"
 
     def __post_init__(self):
@@ -91,8 +88,6 @@ class ExperimentConfig:
              f"must be one of {PARTITIONS}")
         need(self.classifier_latents in LATENT_MODES, "classifier_latents",
              f"must be one of {LATENT_MODES}")
-        need(self.activation in ACTIVATIONS, "activation",
-             f"must be one of {tuple(ACTIVATIONS)}")
         need(self.seed >= 0, "seed", "must be >= 0")
         need(self.K >= 1, "K", "must be >= 1")
         need(self.d_z >= 1, "d_z", "must be >= 1")
@@ -201,6 +196,8 @@ class ExperimentConfig:
 
 
 def _render(value) -> str:
+    if value is None:
+        return "none"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value) or "none"
     if isinstance(value, bool):
@@ -212,6 +209,8 @@ def _render(value) -> str:
 
 def _parse(annotation: str, val: str):
     ann = str(annotation)
+    if "None" in ann and val == "none":
+        return None
     if "tuple" in ann:
         return () if val == "none" else tuple(int(v) for v in val.split(","))
     if "bool" in ann:

@@ -330,16 +330,15 @@ def _update_clients(cfg, shards, round_idx, epochs, theta, tasks) -> list:
 
 def _serve(conn, parent_ends, cfg, shards) -> None:
     """A forked worker: answer each message with _update_clients' results
-    (or the ClientError) until a None message or the parent's end closes."""
+    (or the ClientError) until the parent's end closes, as it does when the
+    parent exits or dies; the worker then returns without a traceback."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
     for end in parent_ends:  # inherited copies would hide the parent's exit
         end.close()
     while True:
         try:
             message = conn.recv()
-        except EOFError:
-            return
-        if message is None:
+        except (EOFError, ConnectionResetError):
             return
         try:
             reply = _update_clients(cfg, shards, *message)
@@ -350,7 +349,10 @@ def _serve(conn, parent_ends, cfg, shards) -> None:
                 detail = "".join(traceback.format_exception(exc.__cause__))
                 reply = ClientError(f"{exc}\n\nin worker process "
                                     f"{os.getpid()}:\n{detail}")
-        conn.send(reply)
+        try:
+            conn.send(reply)
+        except BrokenPipeError:
+            return
 
 
 class ClientExecutor:
@@ -358,12 +360,12 @@ class ClientExecutor:
 
     Entering pins BLAS to one thread and forks ``worker_count(n_clients)
     - 1`` children, each with the shards as they were at the fork and one
-    Pipe to this process; leaving stops every child (at once when leaving
-    on an exception) and restores the thread count. ``run`` splits clients
-    with split_clients, this process taking the first share, and loads each
-    client's updated shared and local vectors into its shard, so the shards
-    end as a serial loop leaves them. The result of an update does not
-    depend on the process it ran in.
+    Pipe to this process; leaving closes every Pipe, which ends each child
+    (terminated first when leaving on an exception), and restores the
+    thread count. ``run`` splits clients with split_clients, this process
+    taking the first share, and loads each client's updated shared and
+    local vectors into its shard, so the shards end as a serial loop leaves
+    them. The result of an update does not depend on the process it ran in.
     """
 
     def __init__(self, cfg, shards: list[ClientShard], n_clients: int):
@@ -395,14 +397,9 @@ class ClientExecutor:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             for proc, conn in self._children:
-                if exc_type is None:
-                    try:
-                        conn.send(None)
-                    except OSError:
-                        pass
-                else:
+                if exc_type is not None:
                     proc.terminate()
-                conn.close()
+                conn.close()  # a worker's recv then ends it
             for proc, _ in self._children:
                 proc.join()
         finally:
@@ -480,8 +477,7 @@ def build_arch(cfg, ds: Dataset) -> ArchitectureConfig:
     input_dim = int(ds.images.shape[1] * ds.images.shape[2])
     n_classes = ds.n_classes if cfg.task == "classify" else None
     return ArchitectureConfig(input_dim=input_dim, hidden_dims=cfg.hidden_dims,
-                              d_z=cfg.d_z, d_c=cfg.d_c,
-                              activation=cfg.activation, n_classes=n_classes,
+                              d_z=cfg.d_z, d_c=cfg.d_c, n_classes=n_classes,
                               head_hidden=cfg.head_hidden)
 
 

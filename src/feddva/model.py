@@ -17,7 +17,7 @@ encode_c of that batch, one per ELBO draw of z plus the classifier's,
 adds only its own z @ W_z, and phase 2's W_x gradient is one GEMM over
 the summed gradients. With no hidden layer, h's heads read x beside z.
 
-Networks are dense MLPs. Trunk weights initialize uniform in
+Networks are dense ReLU MLPs. Trunk weights initialize uniform in
 ±1/sqrt(fan_in); the four posterior-head layers initialize to zero so
 every posterior starts exactly at N(0, I), which keeps the constraint
 monitor nonnegative from the first logged batch. A model built with rng
@@ -26,15 +26,17 @@ None draws nothing and holds zeros everywhere, for a checkpoint to fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .config import _parse, _render
 from .gaussians import DiagGaussian
 
-ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+# every network is ReLU; layers read it here when built: perfbench wraps it
+ACTIVATIONS = {"relu": ad.relu}
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class ArchitectureConfig:
     hidden_dims: tuple[int, ...] = (256, 256)
     d_z: int = 4
     d_c: int = 4
-    activation: str = "relu"
     n_classes: int | None = None
     head_hidden: tuple[int, ...] = (64,)
 
@@ -52,37 +53,21 @@ class ArchitectureConfig:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.d_z < 1 or self.d_c < 1:
             raise ValueError(f"latent dims must be >= 1, got d_z={self.d_z} d_c={self.d_c}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     def canonical_text(self) -> str:
-        parts = [
-            f"input_dim={self.input_dim}",
-            "hidden_dims=" + ",".join(str(h) for h in self.hidden_dims),
-            f"d_z={self.d_z}",
-            f"d_c={self.d_c}",
-            f"activation={self.activation}",
-            f"n_classes={'none' if self.n_classes is None else self.n_classes}",
-            "head_hidden=" + (",".join(str(h) for h in self.head_hidden) or "none"),
-        ]
-        return ";".join(parts)
+        """key=value of each field, ';'-joined, in config text's format."""
+        return ";".join(f"{f.name}={_render(getattr(self, f.name))}"
+                        for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ArchitectureConfig":
+        """canonical_text's inverse; refuses a key that is not a field."""
         kv = dict(item.split("=", 1) for item in text.strip().split(";"))
-
-        def ints(s):
-            return () if s in ("", "none") else tuple(int(v) for v in s.split(","))
-
-        return cls(
-            input_dim=int(kv["input_dim"]),
-            hidden_dims=ints(kv["hidden_dims"]),
-            d_z=int(kv["d_z"]),
-            d_c=int(kv["d_c"]),
-            activation=kv["activation"],
-            n_classes=None if kv["n_classes"] == "none" else int(kv["n_classes"]),
-            head_hidden=ints(kv["head_hidden"]),
-        )
+        known = {f.name: f.type for f in fields(cls)}
+        for key in kv:
+            if key not in known:
+                raise ValueError(f"unknown architecture key {key!r}")
+        return cls(**{key: _parse(ann, kv[key]) for key, ann in known.items()})
 
 
 def _draw(rng: np.random.Generator | None, fan_in: int, fan_out: int,
@@ -115,18 +100,17 @@ class Dense:
 
 
 class PixelDense:
-    """h's first layer over (x, z), act(x @ W_x + z @ W_z + b), drawn as one
+    """h's first layer over (x, z), relu(x @ W_x + z @ W_z + b), drawn as one
     joint weight over the input_dim + d_z rows and held as its pixel rows
     W_x and its z rows W_z. ``pixel_product`` gives a batch's x @ W_x + b,
     which each call for that batch then completes with its own z."""
 
-    def __init__(self, rng, input_dim: int, d_z: int, fan_out: int,
-                 activation: str):
+    def __init__(self, rng, input_dim: int, d_z: int, fan_out: int):
         w, b = _draw(rng, input_dim + d_z, fan_out)
         self.w_x = Tensor(w[:input_dim].copy(), requires_grad=True)
         self.w_z = Tensor(w[input_dim:].copy(), requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
-        self.act = ACTIVATIONS[activation]
+        self.act = ACTIVATIONS["relu"]
 
     def pixel_product(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w_x, self.b)
@@ -140,15 +124,15 @@ class PixelDense:
 
 
 class Mlp:
-    """Dense stack with the activation applied after every layer.
+    """Dense stack with relu applied after every layer.
 
     Maps input parts to the parts the next layer reads: one hidden tensor,
     or the input parts themselves for a stack with no layers.
     """
 
-    def __init__(self, rng, dims: tuple[int, ...], activation: str):
+    def __init__(self, rng, dims: tuple[int, ...]):
         self.layers = [Dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-        self.act = ACTIVATIONS[activation]
+        self.act = ACTIVATIONS["relu"]
         self.out_dim = dims[-1]
 
     def __call__(self, *xs: Tensor) -> tuple[Tensor, ...]:
@@ -219,8 +203,7 @@ class ZEncoderModel(FederatedModel):
     def __init__(self, arch: ArchitectureConfig,
                  rng: np.random.Generator | None):
         self.arch = arch
-        self.f_trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims),
-                           arch.activation)
+        self.f_trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims))
         self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
         self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
 
@@ -240,23 +223,22 @@ class DvaModel(ZEncoderModel):
     def __init__(self, arch: ArchitectureConfig,
                  rng: np.random.Generator | None):
         super().__init__(arch, rng)
-        act = arch.activation
         h = arch.hidden_dims
 
         # with a hidden layer, h's first one splits its weight by input
-        self.h_in = (PixelDense(rng, arch.input_dim, arch.d_z, h[0], act)
+        self.h_in = (PixelDense(rng, arch.input_dim, arch.d_z, h[0])
                      if h else None)
-        self.h_trunk = Mlp(rng, h or (arch.input_dim + arch.d_z,), act)
+        self.h_trunk = Mlp(rng, h or (arch.input_dim + arch.d_z,))
         self.c_mu = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
         self.c_lv = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
 
-        self.dec_trunk = Mlp(rng, (arch.d_z + arch.d_c, *reversed(h)), act)
+        self.dec_trunk = Mlp(rng, (arch.d_z + arch.d_c, *reversed(h)))
         self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
 
         self.head: Mlp | None = None
         self.head_out: Dense | None = None
         if arch.n_classes is not None:
-            self.head = Mlp(rng, (arch.d_z + arch.d_c, *arch.head_hidden), act)
+            self.head = Mlp(rng, (arch.d_z + arch.d_c, *arch.head_hidden))
             self.head_out = Dense(rng, self.head.out_dim, arch.n_classes)
 
     # -------------------------------------------------------- forward
@@ -333,8 +315,7 @@ class VanillaVaeModel(ZEncoderModel):
     def __init__(self, arch: ArchitectureConfig,
                  rng: np.random.Generator | None):
         super().__init__(arch, rng)
-        self.dec_trunk = Mlp(rng, (arch.d_z, *reversed(arch.hidden_dims)),
-                             arch.activation)
+        self.dec_trunk = Mlp(rng, (arch.d_z, *reversed(arch.hidden_dims)))
         self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
 
     def decode(self, z: Tensor) -> Tensor:
@@ -356,7 +337,7 @@ class PixelClassifier(FederatedModel):
         if arch.n_classes is None:
             raise ValueError("PixelClassifier needs n_classes")
         self.arch = arch
-        self.trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims), arch.activation)
+        self.trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims))
         self.out = Dense(rng, self.trunk.out_dim, arch.n_classes)
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:

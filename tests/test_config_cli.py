@@ -22,7 +22,8 @@ import feddva.gaussians
 import feddva.metrics
 from feddva import blas, federation
 from feddva.checkpoint import load_checkpoint, save_checkpoint
-from feddva.cli import cmd_eval, cmd_train, load_state, main
+from feddva.cli import (cmd_eval, cmd_train, latest_checkpoint,
+                        load_state, main)
 from feddva.config import ConfigError, ExperimentConfig, load_config
 from feddva.federation import run_experiment, worker_count
 from feddva.metrics import accuracy_per_client, export_accuracy_csv, parse_pgm
@@ -222,10 +223,14 @@ def test_non_finite_float_named(key):
 
 
 def test_seed_and_activation_named_before_the_run(tmp_path, capsys):
-    for flag, value in (("--seed", "-1"), ("--activation", "gelu")):
-        rc = main(["train", flag, value, "--output_dir", str(tmp_path / "out")])
-        assert rc == 2
-        assert f"config key '{flag[2:]}'" in capsys.readouterr().err
+    out = str(tmp_path / "out")
+    assert main(["train", "--seed", "-1", "--output_dir", out]) == 2
+    assert "config key 'seed'" in capsys.readouterr().err
+    # every network is ReLU: argparse refuses the flag by name
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--activation", "relu", "--output_dir", out])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --activation" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -600,6 +605,91 @@ def test_resume_recovers_from_a_crash_at_every_write(tmp_path, monkeypatch,
         else:
             assert main(resume) == 0, write
         assert FINGERPRINT(out) == full, f"crash at write {i}: {write}"
+
+
+def _children(pid: int) -> list[int]:
+    """The pids of pid's child processes, read from /proc."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            after_name = stat.read_text().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(after_name[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process: not gone, and not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not blas.can_pin() or len(os.sched_getaffinity(0)) < 2
+                    or not Path("/proc/self/stat").is_file(),
+                    reason="needs a BLAS thread setter, 2 cores and /proc "
+                    "for a 2-process run")
+def test_resume_after_sigkill_of_a_2_process_train(tmp_path, capsys):
+    # SIGKILL a real train, parent plus one worker, once before its first
+    # checkpoint and twice after; the worker must leave quietly, and
+    # --resume (or, with nothing to resume, a fresh train) must give the
+    # straight run's table
+    out = tmp_path / "run"
+    # 40 epochs a phase make a round last about 70 ms, long enough for the
+    # poll below to kill inside the round after the one it saw end
+    train = ["train", "--config", str(write_cfg(tmp_path, FAST)),
+             "--K", "4", "--m", "4", "--rounds", "6",
+             "--epochs_per_phase", "40", "--checkpoint_every", "2",
+             "--hidden_dims", "16", "--output_dir", str(out)]
+    assert main(train) == 0
+    full = FINGERPRINT(out)
+    src = Path(feddva.data.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("FEDDVA_OUTPUT_DIR", None)
+    two_cores = sorted(os.sched_getaffinity(0))[:2]
+    before_checkpoint = 0
+    for lines in (1, 3, 5):
+        shutil.rmtree(out)
+        err_path = tmp_path / f"stderr_{lines}.txt"
+        with open(err_path, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "feddva.cli", *train], env=env,
+                stdout=subprocess.DEVNULL, stderr=err,
+                preexec_fn=lambda: os.sched_setaffinity(0, two_cores))
+        history = out / "history.jsonl"
+
+        def logged() -> int:
+            return history.read_text().count("\n") if history.is_file() else 0
+
+        deadline = time.monotonic() + 60
+        while (proc.poll() is None and time.monotonic() < deadline
+               and logged() < lines):
+            time.sleep(0.001)
+        workers = _children(proc.pid)
+        proc.kill()
+        assert proc.wait() == -9, err_path.read_text()
+        assert len(workers) == 1, lines
+        deadline = time.monotonic() + 2
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_running, workers)), lines
+        assert "Traceback" not in err_path.read_text(), err_path.read_text()
+
+        capsys.readouterr()
+        if latest_checkpoint(out, 4) is None:
+            before_checkpoint += 1
+            assert main(["train", "--resume", "--output_dir", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: --resume: no checkpoints")
+            assert main(train) == 0
+        else:
+            assert main(["train", "--resume", "--output_dir", str(out)]) == 0
+        assert FINGERPRINT(out) == full, f"killed after {lines} lines"
+    assert before_checkpoint == 1
 
 
 def test_non_finite_loss_stops_train_at_the_last_good_checkpoint(tmp_path,

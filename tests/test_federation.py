@@ -565,3 +565,41 @@ def test_vanilla_vae_method_runs():
     for rec in state.history:
         for stats in rec.clients.values():
             assert stats["recon"] > 0
+
+
+# ---------------------------------------------------- classify settings
+
+
+def tiny_classify(**over) -> ExperimentConfig:
+    """A classify run of two clients for two rounds, a 6-wide head and
+    gamma 10."""
+    return small_cfg(**(dict(task="classify", K=2, m=2, head_hidden=(6,),
+                             gamma=10.0) | over))
+
+
+@pytest.mark.parametrize("latents, moved", [
+    ("both", (True, True)), ("z", (True, False)), ("c", (False, True))])
+def test_classifier_latents_train_only_the_head_rows_they_feed(latents,
+                                                               moved):
+    # the head's first layer reads z in its first d_z rows and c in the
+    # rest; a latent the mask zeros gives its rows no gradient
+    cfg = tiny_classify(classifier_latents=latents)
+    state = init_run(cfg)
+    before = [s.model.head.layers[0].w.data.copy() for s in state.shards]
+    run_rounds(cfg, state)
+    for s, w0 in zip(state.shards, before, strict=True):
+        w = s.model.head.layers[0].w.data
+        assert (not np.array_equal(w[:cfg.d_z], w0[:cfg.d_z]),
+                not np.array_equal(w[cfg.d_z:], w0[cfg.d_z:])) == moved
+
+
+def test_frozen_classifier_keeps_theta_free_of_gamma():
+    # a frozen head's cross-entropy stops at the head: theta follows the
+    # ELBO alone, whatever its weight
+    def theta(frozen, gamma):
+        cfg = tiny_classify(classifier_frozen=frozen, gamma=gamma)
+        return run_rounds(cfg, init_run(cfg)).theta.tobytes()
+
+    assert theta(True, 0.0) == theta(True, 1.0) == theta(True, 10.0)
+    assert theta(False, 10.0) != theta(True, 10.0)
+    assert theta(False, 1.0) != theta(False, 10.0)

@@ -260,6 +260,9 @@ def write_raw_checkpoint(path, header: bytes, flat: np.ndarray) -> None:
     pytest.param(b"kind=shared\nd_z=3", "input_dim", id="one-key"),
     pytest.param(b"kind=shared\n" + ARCH.canonical_text().replace(
         "d_z=3", "d_z=x").encode(), "invalid literal", id="bad-value"),
+    pytest.param(b"kind=shared\n" + ARCH.canonical_text().encode()
+                 + b";activation=relu", "unknown architecture key "
+                 "'activation'", id="unknown-key"),
     pytest.param(b"kind=shared\n\xff", "utf-8", id="not-utf-8"),
 ])
 def test_checkpoint_malformed_header_names_file_and_offset(tmp_path, header,
