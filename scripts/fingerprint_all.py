@@ -13,8 +13,7 @@ Trains and evaluates each run through this checkout's CLI into OUT/<name>:
 
 and prints scripts/fingerprint.py's table of each, every line prefixed by
 the run's name. config.txt records output_dir, so diff the output of two
-commits run with the same OUT. Eval runs at the inherited BLAS thread
-count: pin OPENBLAS_NUM_THREADS to compare eval files bit for bit.
+commits run with the same OUT.
 
 Usage: python3 scripts/fingerprint_all.py OUT
 """

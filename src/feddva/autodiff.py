@@ -16,8 +16,8 @@ output to a tuple with one gradient per entry of ``node.parents``, or None
 for a parent that takes none (it may skip one that does not require grad).
 ``backward`` alone accumulates them, in parent order and never in place.
 
-All arithmetic is float64 and single-threaded numpy, so identical seeds
-give bitwise-identical forwards and gradients on one platform.
+All arithmetic is float64 numpy, so identical seeds give
+bitwise-identical forwards and gradients on one platform.
 """
 
 from __future__ import annotations

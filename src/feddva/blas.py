@@ -1,10 +1,8 @@
 """The loaded BLAS: its name, and its thread count where that can be set.
 
-Training runs every client update at one BLAS thread
-(federation.ClientExecutor), so the bits of theta do not depend on the
-thread count a process inherits; eval runs at the inherited count. The
-count is read and set through the OpenBLAS that numpy loaded: numpy's
-wheels bundle it with prefixed, 64-bit-integer symbols
+The count is a speed setting: on the recorded stack no output depends on
+it (see the README). It is read and set through the OpenBLAS that numpy
+loaded: numpy's wheels bundle it with prefixed, 64-bit-integer symbols
 (``scipy_openblas_set_num_threads64_``), other builds export the plain
 names. Where neither is found, nothing is pinned.
 """
@@ -71,9 +69,3 @@ def set_threads(n: int) -> None:
     if api is None:
         raise RuntimeError("no OpenBLAS thread-count setter is loaded")
     api[1](n)
-
-
-def train_threads() -> int | None:
-    """The thread count client updates run at: 1 where it can be pinned,
-    None where it cannot (the count is then neither set nor readable)."""
-    return 1 if can_pin() else None

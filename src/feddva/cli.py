@@ -184,20 +184,17 @@ def latest_checkpoint(out_dir: Path, n_clients: int) -> Path | None:
     return max(complete, key=_round_of, default=None)
 
 
-# manifest fields that a bitwise continuation needs unchanged; workers is
-# not one, and neither is the inherited blas_threads where training pins
-# its own count (train_blas_threads is None only where it cannot)
-NUMERIC_STACK = ("numpy", "blas", "train_blas_threads")
+# manifest fields a bitwise continuation needs unchanged; where the count
+# cannot be pinned, training runs at the inherited blas_threads, on a
+# library no one has checked at other counts, so that joins them
+NUMERIC_STACK = ("numpy", "blas")
 
 
 def write_manifest(cfg: ExperimentConfig, out_dir: Path,
                    resume: bool = False) -> None:
-    """Config and seed, plus the numeric stack: results are bitwise
-    reproducible only under the same numpy, BLAS and BLAS thread count.
-    train_blas_threads is the count client updates ran at: 1 where it can
-    be pinned, None where it cannot, and then training runs at
-    blas_threads, the inherited count that eval always runs at. workers is
-    the number of processes each round's clients ran on.
+    """Config and seed, plus the numeric stack a bitwise rerun needs
+    (NUMERIC_STACK), the inherited blas_threads and workers, the number of
+    processes each round's clients ran on.
 
     On resume, one stderr line names each numeric-stack field that differs
     from the manifest the run was started with.
@@ -207,14 +204,11 @@ def write_manifest(cfg: ExperimentConfig, out_dir: Path,
                 "blas": blas.vendor(),
                 "blas_threads": {v: os.environ.get(v) for v in
                                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-                "train_blas_threads": blas.train_threads(),
                 "workers": worker_count(cfg.m)}
     path = out_dir / "manifest.json"
     if resume and path.is_file():
         old = json.loads(path.read_text())
-        stack = NUMERIC_STACK
-        if manifest["train_blas_threads"] is None:
-            stack += ("blas_threads",)
+        stack = NUMERIC_STACK + (() if blas.can_pin() else ("blas_threads",))
         changed = [f"{k} {old.get(k)!r} -> {manifest[k]!r}"
                    for k in stack if old.get(k) != manifest[k]]
         if changed:

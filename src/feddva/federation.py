@@ -23,8 +23,9 @@ set in sorted client order. Clients within a round all start from the same
 incoming vector and draw from seeds that do not depend on the schedule, so
 ClientExecutor runs them on every core the process may use: the parent
 plus one forked child per further core, each client update at one BLAS
-thread. theta, checkpoints and history (timings aside) are bitwise the
-same for any number of cores; ``taskset`` limits them.
+thread, for speed (see the README). theta, checkpoints and history
+(timings aside) are bitwise the same for any number of cores; ``taskset``
+limits them.
 
 FedAvg is the case with no local group: a phase whose group is empty is
 skipped, so its client runs phase 2 alone, which steps every parameter.

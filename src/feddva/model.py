@@ -61,12 +61,19 @@ class ArchitectureConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ArchitectureConfig":
-        """canonical_text's inverse; refuses a key that is not a field."""
-        kv = dict(item.split("=", 1) for item in text.strip().split(";"))
+        """canonical_text's inverse; refuses, by name, an item with no '='
+        and a key that is not a field or repeats."""
         known = {f.name: f.type for f in fields(cls)}
-        for key in kv:
+        kv = {}
+        for item in text.strip().split(";"):
+            key, eq, val = item.partition("=")
+            if not eq:
+                raise ValueError(f"architecture item {item!r} has no '='")
             if key not in known:
                 raise ValueError(f"unknown architecture key {key!r}")
+            if key in kv:
+                raise ValueError(f"repeated architecture key {key!r}")
+            kv[key] = val
         return cls(**{key: _parse(ann, kv[key]) for key, ann in known.items()})
 
 

@@ -408,7 +408,7 @@ def test_resume_warns_on_changed_numeric_stack(tmp_path, capsys):
 def test_resume_ignores_changed_inherited_blas_threads(tmp_path, capsys,
                                                       monkeypatch):
     # training pins its own count, so the inherited one leaves the bits alone
-    monkeypatch.setattr(blas, "train_threads", lambda: 1)
+    monkeypatch.setattr(blas, "can_pin", lambda: True)
     out = tmp_path / "run"
     cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
     cfg.rounds = 2
@@ -419,21 +419,20 @@ def test_resume_ignores_changed_inherited_blas_threads(tmp_path, capsys,
         manifest = json.loads(path.read_text())
         manifest["blas_threads"] = {"OPENBLAS_NUM_THREADS": threads,
                                     "OMP_NUM_THREADS": None}
-        manifest["train_blas_threads"] = blas.train_threads()
         path.write_text(json.dumps(manifest))
         cmd_train(cfg, resume=True)
         return capsys.readouterr().err.splitlines()
 
     assert resume_with_blas_threads("64") == []
     # where it cannot pin, training runs at the inherited count
-    monkeypatch.setattr(blas, "train_threads", lambda: None)
+    monkeypatch.setattr(blas, "can_pin", lambda: False)
     err = resume_with_blas_threads("63")
     assert len(err) == 1
     assert err[0].split("not bitwise: ", 1)[1].startswith(
         "blas_threads {'OPENBLAS_NUM_THREADS': '63'")
 
 
-def test_manifest_records_workers_and_train_threads(tmp_path, capsys):
+def test_manifest_records_workers(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = load_config(write_cfg(tmp_path, FAST + f"output_dir = {out}\n"))
     cfg.rounds = 2
@@ -441,9 +440,6 @@ def test_manifest_records_workers_and_train_threads(tmp_path, capsys):
     path = out / "manifest.json"
     manifest = json.loads(path.read_text())
     assert manifest["workers"] == worker_count(cfg.m)
-    assert manifest["train_blas_threads"] == blas.train_threads()
-    if blas.can_pin():
-        assert manifest["train_blas_threads"] == 1
 
     # the bits do not depend on the worker count: no warning
     manifest["workers"] = 64
@@ -454,14 +450,12 @@ def test_manifest_records_workers_and_train_threads(tmp_path, capsys):
     manifest = json.loads(path.read_text())
     assert manifest["workers"] == worker_count(cfg.m)
 
-    # they do depend on the training thread count
-    manifest["train_blas_threads"] = 64
+    # nor on the training thread count that older manifests recorded
+    manifest["train_blas_threads"] = 1
     path.write_text(json.dumps(manifest))
     cmd_train(cfg, resume=True)
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].split("not bitwise: ", 1)[1].startswith(
-        "train_blas_threads 64 -> ")
+    assert capsys.readouterr().err == ""
+    assert "train_blas_threads" not in json.loads(path.read_text())
 
 
 def _resume_matches_full_run(tmp_path, kill) -> None:
@@ -635,9 +629,10 @@ def _running(pid: int) -> bool:
                     "for a 2-process run")
 def test_resume_after_sigkill_of_a_2_process_train(tmp_path, capsys):
     # SIGKILL a real train, parent plus one worker, once before its first
-    # checkpoint and twice after; the worker must leave quietly, and
-    # --resume (or, with nothing to resume, a fresh train) must give the
-    # straight run's table
+    # checkpoint and twice after, and SIGKILL a --resume inside its
+    # rewrites and after its first new history line; each worker must
+    # leave quietly, and --resume (or, with nothing to resume, a fresh
+    # train) must give the straight run's table
     out = tmp_path / "run"
     # 40 epochs a phase make a round last about 70 ms, long enough for the
     # poll below to kill inside the round after the one it saw end
@@ -645,49 +640,76 @@ def test_resume_after_sigkill_of_a_2_process_train(tmp_path, capsys):
              "--K", "4", "--m", "4", "--rounds", "6",
              "--epochs_per_phase", "40", "--checkpoint_every", "2",
              "--hidden_dims", "16", "--output_dir", str(out)]
+    resume = ["train", "--resume", "--output_dir", str(out)]
     assert main(train) == 0
     full = FINGERPRINT(out)
     src = Path(feddva.data.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("FEDDVA_OUTPUT_DIR", None)
     two_cores = sorted(os.sched_getaffinity(0))[:2]
-    before_checkpoint = 0
-    for lines in (1, 3, 5):
-        shutil.rmtree(out)
-        err_path = tmp_path / f"stderr_{lines}.txt"
+    history = out / "history.jsonl"
+
+    def logged() -> int:
+        return history.read_text().count("\n") if history.is_file() else 0
+
+    def inode(name: str) -> int:
+        return (out / name).stat().st_ino
+
+    def kill_when(argv, ready, n_workers, pause=0.001) -> None:
+        """Run the CLI on two cores and SIGKILL it once ready() holds; it
+        must have had n_workers workers, each gone soon after. With none
+        expected, /proc is not scanned, so the kill follows ready()."""
+        err_path = tmp_path / "stderr.txt"
         with open(err_path, "wb") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "feddva.cli", *train], env=env,
+                [sys.executable, "-m", "feddva.cli", *argv], env=env,
                 stdout=subprocess.DEVNULL, stderr=err,
                 preexec_fn=lambda: os.sched_setaffinity(0, two_cores))
-        history = out / "history.jsonl"
-
-        def logged() -> int:
-            return history.read_text().count("\n") if history.is_file() else 0
-
         deadline = time.monotonic() + 60
         while (proc.poll() is None and time.monotonic() < deadline
-               and logged() < lines):
-            time.sleep(0.001)
-        workers = _children(proc.pid)
+               and not ready()):
+            time.sleep(pause)
+        workers = _children(proc.pid) if n_workers else []
         proc.kill()
         assert proc.wait() == -9, err_path.read_text()
-        assert len(workers) == 1, lines
+        assert len(workers) == n_workers, argv
         deadline = time.monotonic() + 2
         while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert not any(map(_running, workers)), lines
+        assert not any(map(_running, workers)), argv
         assert "Traceback" not in err_path.read_text(), err_path.read_text()
 
+    before_checkpoint = 0
+    for lines in (1, 3, 5):
+        shutil.rmtree(out)
+        kill_when(train, lambda: logged() >= lines, 1)
         capsys.readouterr()
         if latest_checkpoint(out, 4) is None:
             before_checkpoint += 1
-            assert main(["train", "--resume", "--output_dir", str(out)]) == 2
+            assert main(resume) == 2
             assert capsys.readouterr().err.startswith(
                 "error: --resume: no checkpoints")
             assert main(train) == 0
+        elif lines == 3:
+            # resume rewrites config.txt first and partition.json last,
+            # about 1.5 ms apart; a poll without sleep kills in between
+            for _ in range(5):
+                old = {name: inode(name)
+                       for name in ("config.txt", "partition.json")}
+                kill_when(resume, lambda: inode("config.txt")
+                          != old["config.txt"], 0, pause=0)
+                if inode("partition.json") == old["partition.json"]:
+                    break
+            else:
+                pytest.fail("no kill landed inside resume's rewrites")
+            ckpt = latest_checkpoint(out, 4)
+            first_new = int(ckpt.name[len("round_"):]) + 1
+            before = inode("history.jsonl")
+            kill_when(resume, lambda: inode("history.jsonl") != before
+                      and logged() >= first_new, 1)
+            assert main(resume) == 0
         else:
-            assert main(["train", "--resume", "--output_dir", str(out)]) == 0
+            assert main(resume) == 0
         assert FINGERPRINT(out) == full, f"killed after {lines} lines"
     assert before_checkpoint == 1
 

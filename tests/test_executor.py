@@ -15,7 +15,7 @@ from feddva.checkpoint import load_checkpoint
 from feddva.cli import cmd_eval, cmd_train
 from feddva.config import ExperimentConfig
 from feddva.federation import ClientError, init_run, run_rounds, split_clients
-from test_config_cli import _history_without_walltime
+from test_config_cli import FINGERPRINT, _history_without_walltime
 
 needs_pin = pytest.mark.skipif(
     not blas.can_pin(),
@@ -139,3 +139,49 @@ def test_updates_run_at_one_blas_thread_in_client_order(monkeypatch):
     assert all(list(rec.clients) == rec.sampled for rec in state.history)
     assert blas.threads() == threads
     assert multiprocessing.active_children() == []
+
+
+# 16x16 images, hidden 64 and batch 64, as disentangle's: its products,
+# 64x256x64 and up, pass OpenBLAS's threading threshold (m*n*k > 262,144),
+# which SMALL's 8x8 images and hidden 12 never reach
+WIDE = dict(SMALL, task="reconstruct", method="feddva", K=2, m=2, rounds=2,
+            batch_size=64, toy_per_class=96, toy_classes=2, toy_height=16,
+            toy_width=16, hidden_dims=(64,), checkpoint_every=1)
+
+
+@pytest.mark.skipif(not blas.can_pin() or federation.available_cores() < 2,
+                    reason="needs a BLAS thread setter and 2 cores")
+def test_no_output_depends_on_the_blas_thread_count(tmp_path, monkeypatch):
+    # train as usual (one thread per update, two processes), then serially
+    # and unpinned at 2 threads; evaluate each at 1 thread and at 2
+    cfg = ExperimentConfig(**WIDE, output_dir=str(tmp_path / "run"))
+    real = federation.client_update
+    seen = []  # the thread count of each update this process ran
+
+    def client_update(shard, theta, cfg, round_idx, epochs=None):
+        seen.append(blas.threads())
+        return real(shard, theta, cfg, round_idx, epochs=epochs)
+
+    monkeypatch.setattr(federation, "client_update", client_update)
+    tables = []
+
+    def train_then_eval_at(*counts):
+        seen.clear()
+        assert cmd_train(cfg) == 0
+        for n in counts:
+            blas.set_threads(n)
+            assert cmd_eval(cfg) == 0
+            tables.append(FINGERPRINT(Path(cfg.output_dir)))
+
+    inherited = blas.threads()
+    try:
+        train_then_eval_at(1, 2)
+        assert seen and set(seen) == {1}
+        monkeypatch.setattr(blas, "can_pin", lambda: False)
+        blas.set_threads(2)
+        train_then_eval_at(2, 1)
+        assert len(seen) == cfg.rounds * cfg.m and set(seen) == {2}
+    finally:
+        blas.set_threads(inherited)
+    assert len(tables) == 4 and tables[0][-1][1].startswith("eval/")
+    assert all(table == tables[0] for table in tables)

@@ -263,6 +263,12 @@ def write_raw_checkpoint(path, header: bytes, flat: np.ndarray) -> None:
     pytest.param(b"kind=shared\n" + ARCH.canonical_text().encode()
                  + b";activation=relu", "unknown architecture key "
                  "'activation'", id="unknown-key"),
+    pytest.param(b"kind=shared\n" + ARCH.canonical_text().encode()
+                 + b";d_z=5", "repeated architecture key 'd_z'",
+                 id="repeated-key"),
+    pytest.param(b"kind=shared\n" + ARCH.canonical_text().replace(
+        "d_c=", "d_c").encode(), "architecture item 'd_c2' has no '='",
+                 id="no-equals"),
     pytest.param(b"kind=shared\n\xff", "utf-8", id="not-utf-8"),
 ])
 def test_checkpoint_malformed_header_names_file_and_offset(tmp_path, header,
