@@ -150,8 +150,8 @@ def save_state(cfg: ExperimentConfig, state: ServerState, out_dir: Path) -> None
 
 def load_state(cfg: ExperimentConfig, ckpt_dir: Path) -> ServerState:
     """The run as checkpointed in ckpt_dir: theta and every client's local
-    group read into the models of blank_run, which draws no init weights
-    for them to overwrite."""
+    group read into the zero-weight models of blank_run, as init_run's
+    draws fill them on a fresh run."""
     round_idx = _round_of(ckpt_dir)
     if round_idx is None:
         raise ConfigError(f"checkpoint directory {str(ckpt_dir)!r} is not "

@@ -316,7 +316,7 @@ TOY_MAX_CLASSES = len(_GLYPHS)
 TOY_MIN_SIDE = 8  # smallest toy-digit height and width
 
 
-def _draw_stroke(canvas, stroke):
+def _paint_stroke(canvas, stroke):
     h, w = canvas.shape
     m = 2  # margin keeps jittered glyphs inside the frame
     t = 2  # stroke thickness
@@ -350,7 +350,7 @@ def _toy_glyphs(n_classes: int, height: int, width: int) -> np.ndarray:
     templates = np.zeros((n_classes, height, width))
     for cls in range(n_classes):
         for stroke in _GLYPHS[cls]:
-            _draw_stroke(templates[cls], stroke)
+            _paint_stroke(templates[cls], stroke)
     glyphs = np.empty((n_classes, 3, 3, height, width))
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):

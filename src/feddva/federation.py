@@ -55,7 +55,7 @@ from .gaussians import DiagGaussian
 from .losses import (loss_classifier, loss_fedavg_classifier, loss_feddva,
                      loss_local, loss_vanilla_vae)
 from .metrics import accuracy
-from .model import MODEL_CLASS, ArchitectureConfig
+from .model import MODEL_CLASS, ArchitectureConfig, draw, n_draws
 from .seeding import make_rng
 
 
@@ -482,15 +482,17 @@ def build_arch(cfg, ds: Dataset) -> ArchitectureConfig:
                               head_hidden=cfg.head_hidden)
 
 
-def _build_run(cfg, model_rng) -> ServerState:
-    """cfg's data, shards and architecture at round 0, each client's model
-    built from model_rng(client id), and theta of zeros."""
+def blank_run(cfg) -> ServerState:
+    """Round 0 of cfg's run with every weight and theta at zero: its data,
+    shards and architecture, and each client's model built from its
+    shapes, for init_run's draws or a checkpoint to fill. A client's
+    shared group stays zero until theta is loaded into it, as
+    client_update and finalize do before any read."""
     ds = build_dataset(cfg)
     arch = build_arch(cfg, ds)
     shards, plan = build_shards(cfg, ds)
-    model_class = MODEL_CLASS[cfg.method]
     for s in shards:
-        s.model = model_class(arch, model_rng(s.id))
+        s.model = MODEL_CLASS[cfg.method](arch)
     shared = shards[0].model.shared_parameters()
     theta = np.zeros(sum(p.data.size for p in shared))
     return ServerState(theta=theta, round=0, shards=shards, arch=arch,
@@ -498,20 +500,21 @@ def _build_run(cfg, model_rng) -> ServerState:
 
 
 def init_run(cfg) -> ServerState:
-    """Round 0 of cfg's run: every client model and theta drawn from the
-    seed."""
-    state = _build_run(cfg, lambda k: make_rng(cfg.seed, "client-init", k))
-    server_model = MODEL_CLASS[cfg.method](state.arch,
-                                           make_rng(cfg.seed, "server-init"))
-    state.theta = server_model.flatten_shared()
+    """blank_run plus the draws the run reads. Each client's local group is
+    drawn from its "client-init" stream, past the shared-group draws that
+    stream starts with (one raw per double); theta is drawn over the
+    shared layers from the "server-init" stream, lent by client 0, whose
+    shared group then returns to zero like every other client's."""
+    state = blank_run(cfg)
+    for s in state.shards:
+        rng = make_rng(cfg.seed, "client-init", s.id)
+        rng.bit_generator.advance(n_draws(s.model.shared_layers))
+        draw(s.model.local_layers, rng)
+    lender = state.shards[0].model
+    draw(lender.shared_layers, make_rng(cfg.seed, "server-init"))
+    state.theta = lender.flatten_shared()
+    lender.load_shared(np.zeros(state.theta.size))
     return state
-
-
-def blank_run(cfg) -> ServerState:
-    """init_run without its init draws: every weight and theta is zero, for
-    a checkpoint to fill. A client's shared group stays zero until theta is
-    loaded into it, as client_update and finalize do."""
-    return _build_run(cfg, lambda k: None)
 
 
 def run_rounds(cfg, state: ServerState, on_round=None) -> ServerState:

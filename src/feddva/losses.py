@@ -125,9 +125,9 @@ def elbo_sum(recons: Sequence[Tensor], r_z: Tensor | None = None,
     return Tensor._from_op(np.asarray(value * inv), "elbo-sum", parents, back)
 
 
-def _draw_recon(x: Tensor, qz: gaussians.DiagGaussian, model,
-                rng: np.random.Generator,
-                product: Tensor) -> tuple[Tensor, gaussians.DiagGaussian]:
+def _elbo_draw(x: Tensor, qz: gaussians.DiagGaussian, model,
+               rng: np.random.Generator,
+               product: Tensor) -> tuple[Tensor, gaussians.DiagGaussian]:
     """One ELBO draw over the batch x: z ~ q(z|x), q(c|x, z) over x's pixel
     product, c ~ q(c|x, z), and the BCE of x under decode(z, c); returns
     that recon and q(c|x, z)."""
@@ -160,7 +160,7 @@ def loss_feddva(x: Tensor, qz: gaussians.DiagGaussian, model, xi: float,
     recons, r_cs = [], []
     recon_v = r_c_v = kl_qc_v = kl_mix_v = 0.0
     for _ in range(n_samples):
-        recon, qc = _draw_recon(x, qz, model, rng, product)
+        recon, qc = _elbo_draw(x, qz, model, rng, product)
         kl_qc = gaussians.kl_to_standard(qc)
         kl_mix = gaussians.mixture_bound_batch_mean(qc)
         r_c = hinge_max(kl_mix + xi, kl_qc)
@@ -224,7 +224,7 @@ def loss_local(x: Tensor, qz: gaussians.DiagGaussian, model,
     local group's gradient is bitwise the one the full loss gives. Its
     values are empty: phase 1 keeps no record.
     """
-    total = elbo_sum([_draw_recon(x, qz, model, rng, product)[0]
+    total = elbo_sum([_elbo_draw(x, qz, model, rng, product)[0]
                       for _ in range(n_samples)])
     if head is not None:
         z_mu, c_mu, labels = head

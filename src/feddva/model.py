@@ -17,11 +17,12 @@ encode_c of that batch, one per ELBO draw of z plus the classifier's,
 adds only its own z @ W_z, and phase 2's W_x gradient is one GEMM over
 the summed gradients. With no hidden layer, h's heads read x beside z.
 
-Networks are dense ReLU MLPs. Trunk weights initialize uniform in
-±1/sqrt(fan_in); the four posterior-head layers initialize to zero so
-every posterior starts exactly at N(0, I), which keeps the constraint
-monitor nonnegative from the first logged batch. A model built with rng
-None draws nothing and holds zeros everywhere, for a checkpoint to fill.
+Networks are dense ReLU MLPs. Every model is built at zero from its
+shapes; ``draw`` fills layers in order from an rng, and a checkpoint
+loads over them instead. A trunk layer draws uniform in ±1/sqrt(fan_in);
+the four posterior-head layers take no draw and stay zero, so every
+posterior starts exactly at N(0, I), which keeps the constraint monitor
+nonnegative from the first logged batch.
 """
 
 from __future__ import annotations
@@ -77,46 +78,52 @@ class ArchitectureConfig:
         return cls(**{key: _parse(ann, kv[key]) for key, ann in known.items()})
 
 
-def _draw(rng: np.random.Generator | None, fan_in: int, fan_out: int,
-          zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(w, b) of an affine layer: uniform in ±1/sqrt(fan_in), or zeros when
-    zero or rng is None."""
-    if zero or rng is None:
-        return np.zeros((fan_in, fan_out)), np.zeros((1, fan_out))
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, (fan_in, fan_out))
-    return w, rng.uniform(-bound, bound, (1, fan_out))
+def draw(layers, rng: np.random.Generator) -> None:
+    """Fill each layer's parameters in order, uniform in ±its bound, from
+    rng; a layer of bound 0 keeps its zeros and takes no draw."""
+    for layer in layers:
+        if layer.bound:
+            for p in layer.params:
+                p.data = rng.uniform(-layer.bound, layer.bound, p.shape)
+
+
+def n_draws(layers) -> int:
+    """The doubles that draw(layers, rng) takes from rng."""
+    return sum(p.data.size for layer in layers if layer.bound
+               for p in layer.params)
+
+
+def _zeros(*shape: int) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 class Dense:
     """One affine layer: x @ W + b, x given as one or more column parts;
-    zero weights when zero or rng is None."""
+    drawn in ±1/sqrt(fan_in), or not at all when zero."""
 
-    def __init__(self, rng: np.random.Generator | None, fan_in: int,
-                 fan_out: int, zero: bool = False):
-        w, b = _draw(rng, fan_in, fan_out, zero)
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
+    def __init__(self, fan_in: int, fan_out: int, zero: bool = False):
+        self.w = _zeros(fan_in, fan_out)
+        self.b = _zeros(1, fan_out)
+        self.params = [self.w, self.b]
+        self.bound = 0.0 if zero else 1.0 / np.sqrt(fan_in)
 
     def __call__(self, *xs: Tensor) -> Tensor:
         return ad.linear(*xs, self.w, self.b)
 
-    @property
-    def params(self) -> list[Tensor]:
-        return [self.w, self.b]
-
 
 class PixelDense:
-    """h's first layer over (x, z), relu(x @ W_x + z @ W_z + b), drawn as one
-    joint weight over the input_dim + d_z rows and held as its pixel rows
-    W_x and its z rows W_z. ``pixel_product`` gives a batch's x @ W_x + b,
-    which each call for that batch then completes with its own z."""
+    """h's first layer over (x, z), relu(x @ W_x + z @ W_z + b), held as
+    its pixel rows W_x and its z rows W_z and drawn in the joint layer's
+    ±1/sqrt(input_dim + d_z), pixel rows first, so its draws are the joint
+    weight's. ``pixel_product`` gives a batch's x @ W_x + b, which each
+    call for that batch then completes with its own z."""
 
-    def __init__(self, rng, input_dim: int, d_z: int, fan_out: int):
-        w, b = _draw(rng, input_dim + d_z, fan_out)
-        self.w_x = Tensor(w[:input_dim].copy(), requires_grad=True)
-        self.w_z = Tensor(w[input_dim:].copy(), requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
+    def __init__(self, input_dim: int, d_z: int, fan_out: int):
+        self.w_x = _zeros(input_dim, fan_out)
+        self.w_z = _zeros(d_z, fan_out)
+        self.b = _zeros(1, fan_out)
+        self.params = [self.w_x, self.w_z, self.b]
+        self.bound = 1.0 / np.sqrt(input_dim + d_z)
         self.act = ACTIVATIONS["relu"]
 
     def pixel_product(self, x: Tensor) -> Tensor:
@@ -124,10 +131,6 @@ class PixelDense:
 
     def __call__(self, product: Tensor, z: Tensor) -> Tensor:
         return self.act(ad.linear(z, self.w_z, product))
-
-    @property
-    def params(self) -> list[Tensor]:
-        return [self.w_x, self.w_z, self.b]
 
 
 class Mlp:
@@ -137,8 +140,8 @@ class Mlp:
     or the input parts themselves for a stack with no layers.
     """
 
-    def __init__(self, rng, dims: tuple[int, ...]):
-        self.layers = [Dense(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+    def __init__(self, dims: tuple[int, ...]):
+        self.layers = [Dense(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
         self.act = ACTIVATIONS["relu"]
         self.out_dim = dims[-1]
 
@@ -146,10 +149,6 @@ class Mlp:
         for layer in self.layers:
             xs = (self.act(layer(*xs)),)
         return xs
-
-    @property
-    def params(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.params]
 
 
 def _flatten(params: list[Tensor]) -> np.ndarray:
@@ -172,16 +171,21 @@ def _load(params: list[Tensor], flat: np.ndarray, what: str) -> None:
 class FederatedModel:
     """Parameter protocol of every model.
 
-    Subclasses list a shared group, which travels to the server and is
-    averaged, and a local group, which never leaves the client. Flat
-    vectors concatenate each group's tensors in list order.
+    A model is built at zero from its shapes and lists its layers once, in
+    draw order: shared_layers, which travel to the server and are
+    averaged, and local_layers, which never leave the client. Each group's
+    parameters, and the flat vectors that concatenate them, follow that
+    order.
     """
 
+    shared_layers: list
+    local_layers: list
+
     def shared_parameters(self) -> list[Tensor]:
-        raise NotImplementedError
+        return [p for layer in self.shared_layers for p in layer.params]
 
     def local_parameters(self) -> list[Tensor]:
-        return []
+        return [p for layer in self.local_layers for p in layer.params]
 
     def all_parameters(self) -> list[Tensor]:
         return self.shared_parameters() + self.local_parameters()
@@ -207,46 +211,44 @@ class FederatedModel:
 class ZEncoderModel(FederatedModel):
     """A model whose shared group starts with f(x), the encoder of q(z|x)."""
 
-    def __init__(self, arch: ArchitectureConfig,
-                 rng: np.random.Generator | None):
+    def __init__(self, arch: ArchitectureConfig):
         self.arch = arch
-        self.f_trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims))
-        self.z_mu = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
-        self.z_lv = Dense(rng, self.f_trunk.out_dim, arch.d_z, zero=True)
+        self.f_trunk = Mlp((arch.input_dim, *arch.hidden_dims))
+        self.z_mu = Dense(self.f_trunk.out_dim, arch.d_z, zero=True)
+        self.z_lv = Dense(self.f_trunk.out_dim, arch.d_z, zero=True)
+        self.shared_layers = [*self.f_trunk.layers, self.z_mu, self.z_lv]
 
     def encode_z(self, x: Tensor) -> DiagGaussian:
         self._check_input(x)
         hid = self.f_trunk(x)
         return DiagGaussian(self.z_mu(*hid), self.z_lv(*hid))
 
-    @property
-    def theta_z(self) -> list[Tensor]:
-        return self.f_trunk.params + self.z_mu.params + self.z_lv.params
-
 
 class DvaModel(ZEncoderModel):
     """Shared dual encoders plus this client's decoder and optional head."""
 
-    def __init__(self, arch: ArchitectureConfig,
-                 rng: np.random.Generator | None):
-        super().__init__(arch, rng)
+    def __init__(self, arch: ArchitectureConfig):
+        super().__init__(arch)
         h = arch.hidden_dims
 
         # with a hidden layer, h's first one splits its weight by input
-        self.h_in = (PixelDense(rng, arch.input_dim, arch.d_z, h[0])
-                     if h else None)
-        self.h_trunk = Mlp(rng, h or (arch.input_dim + arch.d_z,))
-        self.c_mu = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
-        self.c_lv = Dense(rng, self.h_trunk.out_dim, arch.d_c, zero=True)
+        self.h_in = PixelDense(arch.input_dim, arch.d_z, h[0]) if h else None
+        self.h_trunk = Mlp(h or (arch.input_dim + arch.d_z,))
+        self.c_mu = Dense(self.h_trunk.out_dim, arch.d_c, zero=True)
+        self.c_lv = Dense(self.h_trunk.out_dim, arch.d_c, zero=True)
+        self.shared_layers += [self.h_in] if h else []
+        self.shared_layers += [*self.h_trunk.layers, self.c_mu, self.c_lv]
 
-        self.dec_trunk = Mlp(rng, (arch.d_z + arch.d_c, *reversed(h)))
-        self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
+        self.dec_trunk = Mlp((arch.d_z + arch.d_c, *reversed(h)))
+        self.dec_out = Dense(self.dec_trunk.out_dim, arch.input_dim)
+        self.local_layers = [*self.dec_trunk.layers, self.dec_out]
 
         self.head: Mlp | None = None
         self.head_out: Dense | None = None
         if arch.n_classes is not None:
-            self.head = Mlp(rng, (arch.d_z + arch.d_c, *arch.head_hidden))
-            self.head_out = Dense(rng, self.head.out_dim, arch.n_classes)
+            self.head = Mlp((arch.d_z + arch.d_c, *arch.head_hidden))
+            self.head_out = Dense(self.head.out_dim, arch.n_classes)
+            self.local_layers += [*self.head.layers, self.head_out]
 
     # -------------------------------------------------------- forward
 
@@ -299,60 +301,36 @@ class DvaModel(ZEncoderModel):
         qz, qc = self.posteriors(x)
         return self.classify(qz.mu, qc.mu, latents)
 
-    # ----------------------------------------------------- parameters
-
-    @property
-    def theta_c(self) -> list[Tensor]:
-        first = self.h_in.params if self.h_in is not None else []
-        return first + self.h_trunk.params + self.c_mu.params + self.c_lv.params
-
-    def shared_parameters(self) -> list[Tensor]:
-        return self.theta_z + self.theta_c
-
-    def local_parameters(self) -> list[Tensor]:
-        phi = self.dec_trunk.params + self.dec_out.params
-        if self.head is not None:
-            phi = phi + self.head.params + self.head_out.params
-        return phi
-
 
 class VanillaVaeModel(ZEncoderModel):
     """Single-encoder VAE: shared encoder, client-local z-only decoder."""
 
-    def __init__(self, arch: ArchitectureConfig,
-                 rng: np.random.Generator | None):
-        super().__init__(arch, rng)
-        self.dec_trunk = Mlp(rng, (arch.d_z, *reversed(arch.hidden_dims)))
-        self.dec_out = Dense(rng, self.dec_trunk.out_dim, arch.input_dim)
+    def __init__(self, arch: ArchitectureConfig):
+        super().__init__(arch)
+        self.dec_trunk = Mlp((arch.d_z, *reversed(arch.hidden_dims)))
+        self.dec_out = Dense(self.dec_trunk.out_dim, arch.input_dim)
+        self.local_layers = [*self.dec_trunk.layers, self.dec_out]
 
     def decode(self, z: Tensor) -> Tensor:
         """Pixel Bernoulli logits; sigmoid of them gives the means."""
         return self.dec_out(*self.dec_trunk(z))
 
-    def shared_parameters(self) -> list[Tensor]:
-        return self.theta_z
-
-    def local_parameters(self) -> list[Tensor]:
-        return self.dec_trunk.params + self.dec_out.params
-
 
 class PixelClassifier(FederatedModel):
     """Plain MLP classifier on raw pixels; every parameter is shared."""
 
-    def __init__(self, arch: ArchitectureConfig,
-                 rng: np.random.Generator | None):
+    def __init__(self, arch: ArchitectureConfig):
         if arch.n_classes is None:
             raise ValueError("PixelClassifier needs n_classes")
         self.arch = arch
-        self.trunk = Mlp(rng, (arch.input_dim, *arch.hidden_dims))
-        self.out = Dense(rng, self.trunk.out_dim, arch.n_classes)
+        self.trunk = Mlp((arch.input_dim, *arch.hidden_dims))
+        self.out = Dense(self.trunk.out_dim, arch.n_classes)
+        self.shared_layers = [*self.trunk.layers, self.out]
+        self.local_layers = []
 
     def predict_logits(self, x: Tensor, latents: str = "both") -> Tensor:
         self._check_input(x)
         return self.out(*self.trunk(x))
-
-    def shared_parameters(self) -> list[Tensor]:
-        return self.trunk.params + self.out.params
 
 
 # the model each method trains

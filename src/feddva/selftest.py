@@ -20,7 +20,7 @@ from .autodiff import Tensor, backward, zero_grads
 from .config import ExperimentConfig
 from .federation import aggregate
 from .losses import loss_feddva
-from .model import ArchitectureConfig, DvaModel
+from .model import ArchitectureConfig, DvaModel, draw
 
 
 def _finite_diff(loss_fn, params):
@@ -104,7 +104,8 @@ def check_op_gradients():
 
 def check_loss_gradient():
     arch = ArchitectureConfig(input_dim=4, hidden_dims=(4,), d_z=2, d_c=2)
-    model = DvaModel(arch, np.random.default_rng(1))
+    model = DvaModel(arch)
+    draw(model.shared_layers + model.local_layers, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     for layer in (model.z_mu, model.z_lv, model.c_mu, model.c_lv):
         layer.w.data = rng.uniform(-0.4, 0.4, layer.w.data.shape)

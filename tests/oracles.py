@@ -23,6 +23,16 @@ import numpy as np
 
 import feddva.autodiff as ad
 from feddva.autodiff import ShapeError, Tensor
+from feddva.model import draw
+
+
+def drawn_model(model_class, arch, rng):
+    """A model_class over arch with every layer drawn from rng, shared
+    layers first: the draws a whole model took before init_run skipped a
+    client's shared group, and the reference that skip is checked against."""
+    model = model_class(arch)
+    draw(model.shared_layers + model.local_layers, rng)
+    return model
 
 
 def finite_diff_grads(loss_fn, params, h=1e-4):
@@ -217,7 +227,7 @@ def ellipse_pixels(height, width, ry, rx, thickness):
 def toy_digits_per_sample(n_per_class, n_classes, height, width, seed):
     """make_toy_digits with both rolls and the clip redone per sample, in
     the generator's draw order: images [n, H, W] and labels [n]."""
-    from feddva.data import _GLYPHS, _draw_stroke
+    from feddva.data import _GLYPHS, _paint_stroke
 
     rng = np.random.default_rng(seed)
     images = np.zeros((n_per_class * n_classes, height, width))
@@ -226,7 +236,7 @@ def toy_digits_per_sample(n_per_class, n_classes, height, width, seed):
     for cls in range(n_classes):
         template = np.zeros((height, width))
         for stroke in _GLYPHS[cls]:
-            _draw_stroke(template, stroke)
+            _paint_stroke(template, stroke)
         for _ in range(n_per_class):
             dy, dx = rng.integers(-1, 2, size=2)
             img = np.roll(np.roll(template, dy, axis=0), dx, axis=1)

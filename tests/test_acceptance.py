@@ -26,7 +26,7 @@ from feddva.metrics import (accuracy_per_client, clustering_report,
                             encode_shards, export_grid_image, parse_pgm)
 from feddva.model import ArchitectureConfig, DvaModel
 from feddva.selftest import OP_SAMPLE_SHAPES
-from oracles import (grad_check, kl_to_batch_mixture, leaf,
+from oracles import (drawn_model, grad_check, kl_to_batch_mixture, leaf,
                      mc_kl_between_gaussians, mc_kl_to_mixture)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,7 +125,7 @@ def test_criterion_1_gradient_correctness():
 
     arch = ArchitectureConfig(input_dim=4, hidden_dims=(4,), d_z=2, d_c=2)
     for i in range(10):
-        model = DvaModel(arch, np.random.default_rng(i))
+        model = drawn_model(DvaModel, arch, np.random.default_rng(i))
         rng = np.random.default_rng(500 + i)
         for layer in (model.z_mu, model.z_lv, model.c_mu, model.c_lv):
             layer.w.data = rng.uniform(-0.4, 0.4, layer.w.data.shape)
@@ -365,7 +365,7 @@ def test_criterion_9_format_round_trips(tmp_path):
 
     # checkpoint bitwise
     arch = ArchitectureConfig(input_dim=9, hidden_dims=(5,), d_z=2, d_c=2)
-    model = DvaModel(arch, rng)
+    model = drawn_model(DvaModel, arch, rng)
     flat = model.flatten_shared()
     save_checkpoint(tmp_path / "m.ckpt", "shared", arch, flat)
     kind, arch2, loaded = load_checkpoint(tmp_path / "m.ckpt")

@@ -12,7 +12,7 @@ from feddva.federation import run_experiment
 from feddva.losses import bce_recon, cross_entropy
 from feddva.metrics import accuracy_per_client
 from feddva.model import ArchitectureConfig, DvaModel
-from oracles import dataset_mean_bce
+from oracles import dataset_mean_bce, drawn_model
 
 
 def test_decode_round_trip_beats_mean_image_baseline():
@@ -47,8 +47,9 @@ def test_classifier_head_solves_separable_latents():
 
     arch = ArchitectureConfig(input_dim=4, hidden_dims=(), d_z=d_z, d_c=d_c,
                               n_classes=3, head_hidden=())
-    model = DvaModel(arch, rng)
-    head_params = model.head.params + model.head_out.params
+    model = drawn_model(DvaModel, arch, rng)
+    head_params = [p for layer in (*model.head.layers, model.head_out)
+                   for p in layer.params]
     zt, ct = Tensor(z), Tensor(c)
     for _ in range(300):
         loss = cross_entropy(model.classify(zt, ct), labels)

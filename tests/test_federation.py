@@ -11,6 +11,7 @@ from feddva.federation import (aggregate, blank_run, client_update,
                                run_rounds, sample_clients, two_phase_update)
 from feddva.model import MODEL_CLASS, DvaModel
 from feddva.seeding import make_rng
+from oracles import drawn_model
 
 
 def small_cfg(**over):
@@ -548,6 +549,34 @@ def test_blank_run_is_init_run_with_zero_weights(over):
         assert not any(p.data.any() for p in b.model.all_parameters())
         assert [p.shape for p in b.model.all_parameters()] == \
             [p.shape for p in a.model.all_parameters()]
+        # theta is loaded over a client's shared group before any read
+        assert not any(p.data.any() for p in a.model.shared_parameters())
+
+
+@pytest.mark.parametrize("over", [
+    pytest.param(dict(), id="feddva-reconstruct"),
+    pytest.param(dict(task="classify", partition="label-skew",
+                      head_hidden=()), id="classify-head-none"),
+    pytest.param(dict(task="classify", partition="label-skew",
+                      head_hidden=(6,)), id="classify-head-6"),
+    pytest.param(dict(hidden_dims=()), id="no-hidden-layer"),
+    pytest.param(dict(method="vanilla-vae"), id="vanilla-vae"),
+    pytest.param(dict(task="classify", method="fedavg",
+                      partition="label-skew"), id="fedavg")])
+def test_init_run_draws_what_whole_models_drew(over):
+    # a client's stream draws its shared group first, and init_run skips
+    # those draws; theta is drawn over the server stream's shared layers
+    cfg = small_cfg(**over)
+    state = init_run(cfg)
+    model_class = MODEL_CLASS[cfg.method]
+    server = drawn_model(model_class, state.arch,
+                         make_rng(cfg.seed, "server-init"))
+    assert state.theta.tobytes() == server.flatten_shared().tobytes()
+    for s in state.shards:
+        whole = drawn_model(model_class, state.arch,
+                            make_rng(cfg.seed, "client-init", s.id))
+        assert s.model.flatten_local().tobytes() == \
+            whole.flatten_local().tobytes()
 
 
 def test_run_experiment_dispatch():

@@ -12,14 +12,14 @@ from feddva.losses import (bce_recon, cross_entropy, elbo_sum, hinge_max,
                            loss_classifier, loss_feddva, loss_local,
                            loss_vanilla_vae)
 from feddva.model import ArchitectureConfig, DvaModel, VanillaVaeModel
-from oracles import grad_check
+from oracles import drawn_model, grad_check
 
 TINY = ArchitectureConfig(input_dim=4, hidden_dims=(4,), d_z=2, d_c=2,
                           n_classes=3, head_hidden=())
 
 
 def tiny_model(seed=0, arch=TINY, spread=0.4):
-    m = DvaModel(arch, np.random.default_rng(seed))
+    m = drawn_model(DvaModel, arch, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1000)
     # non-zero posterior heads so every term has signal
     for layer in (m.z_mu, m.z_lv, m.c_mu, m.c_lv):
@@ -227,7 +227,7 @@ def test_feddva_identical_posteriors_hinge_floor():
 
 
 def test_vanilla_kl_term_delegates():
-    m = VanillaVaeModel(TINY, np.random.default_rng(0))
+    m = drawn_model(VanillaVaeModel, TINY, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     m.z_mu.w.data = rng.uniform(-0.5, 0.5, m.z_mu.w.data.shape)
     x = tiny_batch(n=4)
@@ -237,7 +237,7 @@ def test_vanilla_kl_term_delegates():
 
 
 def test_vanilla_zero_kl_means_total_is_recon():
-    m = VanillaVaeModel(TINY, np.random.default_rng(3))
+    m = drawn_model(VanillaVaeModel, TINY, np.random.default_rng(3))
     # zero heads are the init default: posterior exactly N(0, I)
     x = tiny_batch(n=3)
     total, b = loss_vanilla_vae(x, m.encode_z(x), m, np.random.default_rng(4))
@@ -281,7 +281,8 @@ def test_classifier_frozen_mode_keeps_encoder_ce_free():
                            frozen=True)
     ad.zero_grads(m.all_parameters())
     backward(b)
-    head_grads = [p.grad for p in m.head.params + m.head_out.params]
+    head_grads = [p.grad for layer in (*m.head.layers, m.head_out)
+                  for p in layer.params]
     assert any(g is not None and np.abs(g).max() > 0 for g in head_grads)
     # encoder grads exist only via the recon term; compare against unfrozen
     m2 = tiny_model(seed=6)
@@ -369,7 +370,7 @@ def test_single_sample_estimator_unbiased_in_recon():
 
 def test_vanilla_training_smoke_loss_decreases():
     arch = ArchitectureConfig(input_dim=16, hidden_dims=(16,), d_z=2, d_c=1)
-    m = VanillaVaeModel(arch, np.random.default_rng(0))
+    m = drawn_model(VanillaVaeModel, arch, np.random.default_rng(0))
     data = np.random.default_rng(1).uniform(0, 1, (32, 16)) > 0.5
     x = Tensor(data.astype(float))
     rng = np.random.default_rng(2)

@@ -14,7 +14,7 @@ from feddva.metrics import (DisentanglementReport,
                             export_embeddings_csv,
                             _separation_ratio)
 from feddva.model import ArchitectureConfig, DvaModel
-from oracles import mc_kl_mixture_to_standard
+from oracles import drawn_model, mc_kl_mixture_to_standard
 
 ARCH = ArchitectureConfig(input_dim=64, hidden_dims=(16,), d_z=3, d_c=2)
 
@@ -22,7 +22,7 @@ ARCH = ArchitectureConfig(input_dim=64, hidden_dims=(16,), d_z=3, d_c=2)
 def shards_and_model(seed=0, k=3, n_per_class=12):
     ds = make_toy_digits(n_per_class, 4, 8, 8, seed)
     shards, _ = partition_uniform_marked(ds, k, seed, holdout_frac=0.25)
-    model = DvaModel(ARCH, np.random.default_rng(seed))
+    model = drawn_model(DvaModel, ARCH, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for layer in (model.z_mu, model.z_lv, model.c_mu, model.c_lv):
         layer.w.data = rng.uniform(-0.3, 0.3, layer.w.data.shape)

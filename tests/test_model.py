@@ -11,13 +11,14 @@ from feddva.gaussians import DiagGaussian, kl_to_standard
 from feddva.config import METHODS
 from feddva.model import (MODEL_CLASS, ArchitectureConfig, DvaModel,
                           PixelClassifier, VanillaVaeModel)
+from oracles import drawn_model
 
 ARCH = ArchitectureConfig(input_dim=12, hidden_dims=(8,), d_z=3, d_c=2,
                           n_classes=4, head_hidden=(6,))
 
 
 def fresh_model(seed=0, arch=ARCH):
-    return DvaModel(arch, np.random.default_rng(seed))
+    return drawn_model(DvaModel, arch, np.random.default_rng(seed))
 
 
 def batch(seed=1, n=3, arch=ARCH):
@@ -107,8 +108,10 @@ def test_split_first_layer_keeps_the_joint_draws_and_layout():
     bound = 1.0 / np.sqrt(ARCH.input_dim + ARCH.d_z)
     joint = rng.uniform(-bound, bound, (ARCH.input_dim + ARCH.d_z, 8))
     assert np.array_equal(np.vstack([m.h_in.w_x.data, m.h_in.w_z.data]), joint)
-    theta_c = np.concatenate([p.data.reshape(-1) for p in m.theta_c])
-    assert np.array_equal(theta_c[:joint.size], joint.reshape(-1))
+    z_layers = m.shared_layers[:m.shared_layers.index(m.h_in)]
+    at = sum(p.data.size for layer in z_layers for p in layer.params)
+    assert np.array_equal(m.flatten_shared()[at:at + joint.size],
+                          joint.reshape(-1))
 
 
 def test_decode_range_and_shape():
@@ -165,7 +168,7 @@ def test_peer_load_gives_identical_encodings():
 
 def test_cascade_gradient_reaches_theta_z_through_c_path():
     arch = ArchitectureConfig(input_dim=6, hidden_dims=(5,), d_z=2, d_c=2)
-    m = DvaModel(arch, np.random.default_rng(12))
+    m = drawn_model(DvaModel, arch, np.random.default_rng(12))
     rng = np.random.default_rng(13)
     # non-zero heads so gradients are not trivially zero
     for layer in (m.z_mu, m.z_lv, m.c_mu, m.c_lv):
@@ -179,7 +182,9 @@ def test_cascade_gradient_reaches_theta_z_through_c_path():
     out = m.decode(qz.mu, qc.mu)
     backward(ad.sum_all(ad.square(out)))
     g = np.concatenate([p.grad.reshape(-1) if p.grad is not None
-                        else np.zeros(p.data.size) for p in m.theta_z])
+                        else np.zeros(p.data.size)
+                        for layer in (*m.f_trunk.layers, m.z_mu, m.z_lv)
+                        for p in layer.params])
     assert np.abs(g).max() > 0.0
 
 
@@ -188,14 +193,16 @@ def test_input_check_names_encode_for_every_model():
                               n_classes=3)
     bad = Tensor(np.zeros((2, 7)))
     with pytest.raises(ad.ShapeError, match=r"encode.*\[batch, 9\].*\(2, 7\)"):
-        VanillaVaeModel(arch, np.random.default_rng(0)).encode_z(bad)
+        drawn_model(VanillaVaeModel, arch,
+                    np.random.default_rng(0)).encode_z(bad)
     with pytest.raises(ad.ShapeError, match=r"encode.*\[batch, 9\].*\(2, 7\)"):
-        PixelClassifier(arch, np.random.default_rng(0)).predict_logits(bad)
+        drawn_model(PixelClassifier, arch,
+                    np.random.default_rng(0)).predict_logits(bad)
 
 
 def test_vanilla_model_round_trip():
     arch = ArchitectureConfig(input_dim=10, hidden_dims=(6,), d_z=2, d_c=1)
-    m = VanillaVaeModel(arch, np.random.default_rng(0))
+    m = drawn_model(VanillaVaeModel, arch, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).uniform(0, 1, (4, 10)))
     q = m.encode_z(x)
     out = m.decode(q.mu)
@@ -208,7 +215,7 @@ def test_vanilla_model_round_trip():
 def test_pixel_classifier_all_params_shared():
     arch = ArchitectureConfig(input_dim=10, hidden_dims=(6,), d_z=2, d_c=1,
                               n_classes=3)
-    m = PixelClassifier(arch, np.random.default_rng(0))
+    m = drawn_model(PixelClassifier, arch, np.random.default_rng(0))
     assert m.local_parameters() == []
     logits = m.predict_logits(Tensor(np.zeros((2, 10))))
     assert logits.shape == (2, 3)
