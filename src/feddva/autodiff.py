@@ -23,8 +23,9 @@ bitwise-identical forwards and gradients on one platform.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,6 +185,24 @@ def sgd_step(params: Sequence[Tensor], lr: float) -> None:
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
+
+
+@contextmanager
+def frozen(params: Iterable[Tensor]) -> Iterator[None]:
+    """Clear ``requires_grad`` on every param for the block, and restore
+    each one's flag on exit, also when the block raises. An op whose
+    parents are all frozen or constant records no node and takes no
+    creation index, so its output holds no graph; scoring under it keeps
+    nothing alive but the arrays it returns."""
+    params = list(params)
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
 
 
 # ---------------------------------------------------------------- ops

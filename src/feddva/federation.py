@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas
-from .autodiff import Tensor, backward, sgd_step
+from .autodiff import Tensor, backward, frozen, sgd_step
 from .data import (ClientShard, Dataset, PartitionPlan, load_idx_dataset,
                    make_toy_digits, partition_label_skew,
                    partition_uniform_marked)
@@ -128,31 +128,27 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
     load-bearing: swapping phases changes the result. A phase whose group
     is empty is skipped.
 
-    Each phase marks the group it does not step as not requiring grad, so
-    that group's graph is neither recorded nor walked and backward writes
-    gradients only to the stepped group, which sgd_step then clears. Every
-    flag is restored on return, also when loss_fn raises. A phase-2 batch's
-    record is its values with ``total``'s value first, plain floats that
-    hold no graph; phase 1 keeps none.
+    Each phase runs with the group it does not step under
+    ``autodiff.frozen``, so that group's graph is neither recorded nor
+    walked and backward writes gradients only to the stepped group, which
+    sgd_step then clears; the stepped group must require grad, as every
+    model parameter does. frozen restores every flag when the phase ends,
+    also when loss_fn raises. A phase-2 batch's record is its values with
+    ``total``'s value first, plain floats that hold no graph; phase 1
+    keeps none.
 
     A non-finite ``total`` raises FloatingPointError, naming the phase (1
     or 2), epoch and batch (from 1), before it can reach a parameter; so
     does a phase that leaves a non-finite parameter in its group.
     """
-    everything = list(local_params) + list(shared_params)
-    flags = [p.requires_grad for p in everything]
     records, seconds = [], {}
-    try:
-        for number, (phase, params, frozen, lr) in enumerate((
-                ("local", local_params, shared_params, lr_local),
-                ("shared", shared_params, local_params, lr_shared)), 1):
-            if not params:
-                continue
-            start = time.perf_counter()
-            for p in params:
-                p.requires_grad = True
-            for p in frozen:
-                p.requires_grad = False
+    for number, (phase, params, idle, lr) in enumerate((
+            ("local", local_params, shared_params, lr_local),
+            ("shared", shared_params, local_params, lr_shared)), 1):
+        if not params:
+            continue
+        start = time.perf_counter()
+        with frozen(idle):
             for epoch in range(epochs_per_phase):
                 for b, batch in enumerate(batch_stream(phase, epoch), 1):
                     total, values = loss_fn(batch)
@@ -164,13 +160,10 @@ def two_phase_update(loss_fn, batch_stream, local_params, shared_params,
                     sgd_step(params, lr)
                     if phase == "shared":
                         records.append({"total": total.item(), **values})
-            if not all(np.isfinite(p.data).all() for p in params):
-                raise FloatingPointError(
-                    f"non-finite parameter after phase {number}")
-            seconds[phase] = time.perf_counter() - start
-    finally:
-        for p, flag in zip(everything, flags):
-            p.requires_grad = flag
+        if not all(np.isfinite(p.data).all() for p in params):
+            raise FloatingPointError(
+                f"non-finite parameter after phase {number}")
+        seconds[phase] = time.perf_counter() - start
     return records, seconds
 
 
@@ -212,17 +205,17 @@ def client_update(shard: ClientShard, theta: np.ndarray, cfg, round_idx: int,
     labels = shard.labels
     local = model.local_parameters()
 
-    frozen = None  # _encode_frozen's arrays, once phase 1 starts
+    encoded = None  # _encode_frozen's arrays, once phase 1 starts
 
     def batch_stream(phase, epoch):
-        nonlocal frozen
+        nonlocal encoded
         # a model with no local group draws its batches under FedAvg's label
         label = phase if local else "fedavg"
         rng = make_rng(cfg.seed, "batches", shard.id, round_idx, label, epoch)
-        if phase == "local" and frozen is None:
-            frozen = _encode_frozen(model, x_all, cfg)
+        if phase == "local" and encoded is None:
+            encoded = _encode_frozen(model, x_all, cfg)
         for idx in iter_batches(shard.n, cfg.batch_size, rng):
-            yield idx, ([Tensor(a[idx]) for a in frozen]
+            yield idx, ([Tensor(a[idx]) for a in encoded]
                         if phase == "local" else None)
 
     noise_rng = make_rng(cfg.seed, "noise", shard.id, round_idx)

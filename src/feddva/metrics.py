@@ -4,9 +4,14 @@ Everything here reads posterior means only, so accuracy and separation
 ratios are deterministic. The one sampled quantity, the Monte-Carlo KL of
 each client's c-posterior mixture against N(0, I), draws from a fixed
 derived seed and is therefore reproducible byte for byte. Each function
-given a shard scores it with the model the shard holds. encode_shards
-encodes each shard once; the report, the embeddings and the traversals
-read its arrays and run no encoder themselves.
+given a shard scores it with the model the shard holds, under
+``autodiff.frozen``: scoring records no graph node, so eval keeps no
+intermediate alive past the op that reads it. encode_shards encodes each
+shard once; the report, the embeddings and the traversals read its arrays
+and run no encoder themselves. A traversal grid is one decode, and the
+exports write whole arrays: the PGM quantizes its grid in one pass and
+places its tiles in one strided write, and the CSV writes each client's
+rows in one call.
 
 That estimator needs every component's log-density at every sample. With
 inv = 1/sigma^2, and x and mu centred on the mean m of the components'
@@ -33,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, frozen
 from .data import ClientShard
 from .seeding import make_rng
 
@@ -77,10 +82,12 @@ class ShardCodes:
 
 
 def encode_shards(shards: list[ClientShard]) -> list[ShardCodes]:
-    """The ShardCodes of each shard under its model's shared encoders."""
+    """The ShardCodes of each shard under its model's shared encoders,
+    with no graph recorded."""
     codes = []
     for shard in shards:
-        qz, qc = shard.model.posteriors(Tensor(shard.flat_images()))
+        with frozen(shard.model.all_parameters()):
+            qz, qc = shard.model.posteriors(Tensor(shard.flat_images()))
         codes.append(ShardCodes(shard.id, qz.mu.data, qc.mu.data,
                                 qc.log_var.data))
     return codes
@@ -100,7 +107,8 @@ def latent_traversal(shard: ClientShard, code: ShardCodes, anchor: int,
 
     Sweeps run along the top principal axis of the shard's posterior means
     (the first coordinate axis for a one-sample shard); the center cell is
-    the anchor's own reconstruction from its means.
+    the anchor's own reconstruction from its means. The steps * steps
+    cells are one decode, row-major, with no graph recorded.
     """
     z_mu, c_mu = code.z_mu, code.c_mu
     n = z_mu.shape[0]
@@ -116,15 +124,15 @@ def latent_traversal(shard: ClientShard, code: ShardCodes, anchor: int,
         dir_z = np.eye(z_mu.shape[1])[0]
         dir_c = np.eye(c_mu.shape[1])[0]
     offsets = np.linspace(-span, span, steps) if steps > 1 else np.zeros(1)
-    grid = np.zeros((steps, steps, *shard.images.shape[1:]))
-    z_rows = np.stack([z_mu[anchor] + o * dir_z for o in offsets])
-    c_cols = np.stack([c_mu[anchor] + o * dir_c for o in offsets])
-    for i in range(steps):
-        z_batch = np.repeat(z_rows[i][None, :], steps, axis=0)
-        logits = shard.model.decode(Tensor(z_batch), Tensor(c_cols)).data
-        # the sigmoid in ad.sigmoid's tanh form, with no graph node
-        grid[i] = (0.5 * (1.0 + np.tanh(0.5 * logits))).reshape(grid.shape[1:])
-    return grid
+    z_rows = z_mu[anchor] + offsets[:, None] * dir_z
+    c_cols = c_mu[anchor] + offsets[:, None] * dir_c
+    # cell (i, j) is row i * steps + j: z_rows[i] beside c_cols[j]
+    with frozen(shard.model.all_parameters()):
+        logits = shard.model.decode(Tensor(np.repeat(z_rows, steps, axis=0)),
+                                    Tensor(np.tile(c_cols, (steps, 1)))).data
+    # the sigmoid in ad.sigmoid's tanh form
+    return (0.5 * (1.0 + np.tanh(0.5 * logits))).reshape(
+        steps, steps, *shard.images.shape[1:])
 
 
 def _separation_ratio(per_client: list[np.ndarray]) -> float | None:
@@ -149,7 +157,9 @@ def mixture_kl_to_standard_mc(mus: np.ndarray, sigmas: np.ndarray,
     """MC estimate of KL(uniform mixture of diag Gaussians || N(0, I))."""
     n, d = mus.shape
     picks = rng.integers(0, n, size=n_samples)
-    x = mus[picks] + sigmas[picks] * rng.standard_normal((n_samples, d))
+    # take gathers rows as fancy indexing does, about 10x faster here
+    x = (mus.take(picks, axis=0)
+         + sigmas.take(picks, axis=0) * rng.standard_normal((n_samples, d)))
     # the GEMM form of the module docstring, centred on the mean of mus
     centre = mus.mean(axis=0)
     mc = mus - centre
@@ -226,12 +236,14 @@ def clustering_report(codes: list[ShardCodes], xi: float,
 
 def accuracy(shard: ClientShard, latents: str) -> float | None:
     """Share of the shard's held-out rows whose largest logit under
-    shard.model is their label; None for a shard with no held-out rows."""
+    shard.model is their label, with no graph recorded; None for a shard
+    with no held-out rows."""
     n_hold = shard.holdout_images.shape[0]
     if n_hold == 0:
         return None
-    logits = shard.model.predict_logits(
-        Tensor(shard.holdout_images.reshape(n_hold, -1)), latents=latents)
+    with frozen(shard.model.all_parameters()):
+        logits = shard.model.predict_logits(
+            Tensor(shard.holdout_images.reshape(n_hold, -1)), latents=latents)
     return float(np.mean(np.argmax(logits.data, axis=1)
                          == shard.holdout_labels))
 
@@ -251,17 +263,16 @@ def accuracy_per_client(shards: list[ClientShard], latents: str = "both"):
 
 def export_grid_image(images: np.ndarray, path) -> None:
     """Tile a [steps_z, steps_c, H, W] grid into one 8-bit PGM (P5) with
-    1-px separators."""
+    1-px separators: the grid is quantized in one pass, and its tiles are
+    placed in one strided write."""
     steps_z, steps_c, h, w = images.shape
-    out_h = steps_z * h + (steps_z - 1)
-    out_w = steps_c * w + (steps_c - 1)
-    canvas = np.full((out_h, out_w), 128, dtype=np.uint8)
-    for i in range(steps_z):
-        for j in range(steps_c):
-            tile = np.clip(images[i, j], 0.0, 1.0)
-            quant = np.round(tile * 255.0).astype(np.uint8)
-            canvas[i * (h + 1):i * (h + 1) + h,
-                   j * (w + 1):j * (w + 1) + w] = quant
+    quant = np.round(np.clip(images, 0.0, 1.0) * 255.0).astype(np.uint8)
+    # each tile with its separator row and column below and to its right,
+    # the last of which fall outside the image
+    cells = np.full((steps_z, h + 1, steps_c, w + 1), 128, dtype=np.uint8)
+    cells[:, :h, :, :w] = quant.transpose(0, 2, 1, 3)
+    canvas = cells.reshape(steps_z * (h + 1), steps_c * (w + 1))[:-1, :-1]
+    out_h, out_w = canvas.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{out_w} {out_h}\n255\n".encode("ascii"))
         f.write(canvas.tobytes())
@@ -280,17 +291,19 @@ def parse_pgm(path) -> np.ndarray:
 
 
 def export_embeddings_csv(codes: list[ShardCodes], path) -> None:
-    """client_id, sample_id, z_0..z_{d-1}, c_0..c_{d-1} for every train sample."""
+    """client_id, sample_id, z_0..z_{d-1}, c_0..c_{d-1} for every train
+    sample, in csv.writer's bytes: floats as repr writes them, no field
+    quoted, lines ended by CRLF. Each client's rows are one write."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
         if codes:
-            writer.writerow(["client_id", "sample_id"]
-                            + [f"z_{i}" for i in range(codes[0].z_mu.shape[1])]
-                            + [f"c_{i}" for i in range(codes[0].c_mu.shape[1])])
+            names = (["client_id", "sample_id"]
+                     + [f"z_{i}" for i in range(codes[0].z_mu.shape[1])]
+                     + [f"c_{i}" for i in range(codes[0].c_mu.shape[1])])
+            f.write(",".join(names) + "\r\n")
         for code in codes:
             rows = np.hstack([code.z_mu, code.c_mu]).tolist()
-            writer.writerows([code.shard_id, s, *row]
-                             for s, row in enumerate(rows))
+            f.write("".join(f"{code.shard_id},{s},{','.join(map(repr, row))}"
+                            "\r\n" for s, row in enumerate(rows)))
 
 
 def export_accuracy_csv(accs: list[float | None], mean: float | None,

@@ -13,10 +13,15 @@ row-broadcast; against a one-row batch it is the pairwise KL of two
 rows) and ``pairwise_kl_matrix`` (the full n x n matrix of pairwise KLs,
 from matmuls). The fused closed-form node
 ``gaussians.mixture_bound_batch_mean`` is checked against them.
+
+The eval references at the end keep the per-row traversal decode, the
+per-tile PGM and the csv.writer embeddings that metrics replaced with
+whole-array passes of the same bits and bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -273,3 +278,62 @@ def dataset_mean_bce(images):
     p = np.clip(flat.mean(axis=0), 1e-12, 1.0 - 1e-12)
     bce = -(flat * np.log(p) + (1.0 - flat) * np.log(1.0 - p)).sum(axis=1)
     return float(bce.mean())
+
+
+# ------------------------------------------------ eval, one piece at a time
+# The eval exports as they were written before their whole-array passes:
+# metrics.latent_traversal, export_grid_image and export_embeddings_csv
+# must give these bits and bytes.
+
+
+def latent_traversal_per_row(shard, code, anchor, steps, span):
+    """The traversal grid decoded one row of z at a time: steps decodes of
+    steps rows each."""
+    from feddva.metrics import _principal_axis
+
+    z_mu, c_mu = code.z_mu, code.c_mu
+    if z_mu.shape[0] > 1:
+        dir_z, dir_c = _principal_axis(z_mu), _principal_axis(c_mu)
+    else:
+        dir_z, dir_c = np.eye(z_mu.shape[1])[0], np.eye(c_mu.shape[1])[0]
+    offsets = np.linspace(-span, span, steps) if steps > 1 else np.zeros(1)
+    grid = np.zeros((steps, steps, *shard.images.shape[1:]))
+    z_rows = np.stack([z_mu[anchor] + o * dir_z for o in offsets])
+    c_cols = np.stack([c_mu[anchor] + o * dir_c for o in offsets])
+    for i in range(steps):
+        z_batch = np.repeat(z_rows[i][None, :], steps, axis=0)
+        logits = shard.model.decode(Tensor(z_batch), Tensor(c_cols)).data
+        grid[i] = (0.5 * (1.0 + np.tanh(0.5 * logits))).reshape(grid.shape[1:])
+    return grid
+
+
+def export_grid_image_per_tile(images, path):
+    """The P5 PGM of a [steps_z, steps_c, H, W] grid, each tile clipped,
+    rounded and placed on its own."""
+    steps_z, steps_c, h, w = images.shape
+    out_h = steps_z * h + (steps_z - 1)
+    out_w = steps_c * w + (steps_c - 1)
+    canvas = np.full((out_h, out_w), 128, dtype=np.uint8)
+    for i in range(steps_z):
+        for j in range(steps_c):
+            tile = np.clip(images[i, j], 0.0, 1.0)
+            quant = np.round(tile * 255.0).astype(np.uint8)
+            canvas[i * (h + 1):i * (h + 1) + h,
+                   j * (w + 1):j * (w + 1) + w] = quant
+    with open(path, "wb") as f:
+        f.write(f"P5\n{out_w} {out_h}\n255\n".encode("ascii"))
+        f.write(canvas.tobytes())
+
+
+def export_embeddings_csv_writer(codes, path):
+    """The embeddings CSV written row by row through csv.writer."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        if codes:
+            writer.writerow(["client_id", "sample_id"]
+                            + [f"z_{i}" for i in range(codes[0].z_mu.shape[1])]
+                            + [f"c_{i}" for i in range(codes[0].c_mu.shape[1])])
+        for code in codes:
+            rows = np.hstack([code.z_mu, code.c_mu]).tolist()
+            writer.writerows([code.shard_id, s, *row]
+                             for s, row in enumerate(rows))

@@ -378,6 +378,23 @@ def test_detach_blocks_gradient():
     assert np.allclose(w.grad, 2.0 * w.data * y.data)
 
 
+def test_frozen_records_no_node_and_restores_each_flag():
+    live = Tensor([1.0, 2.0], requires_grad=True)
+    const = Tensor([3.0, 4.0])
+    before = next(ad._creation)
+    with ad.frozen([live, const]):
+        assert not live.requires_grad and not const.requires_grad
+        out = ad.square(ad.add(live, const))
+    assert next(ad._creation) == before + 1
+    assert not out.requires_grad and out.parents == ()
+    assert live.requires_grad and not const.requires_grad
+    # the flags come back when the block raises, too
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.frozen([live, const]):
+            raise RuntimeError("inside")
+    assert live.requires_grad and not const.requires_grad
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
 def test_tensor_invariants(n, m):

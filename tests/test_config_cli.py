@@ -1046,6 +1046,18 @@ def test_eval_encodes_each_shard_once(tmp_path, monkeypatch):
     assert len(encoded) == cfg.K
 
 
+@pytest.mark.parametrize("text", [FAST, SKEW + "task = classify\n"],
+                         ids=["reconstruct", "classify"])
+def test_eval_records_no_graph_node(tmp_path, text):
+    out = tmp_path / "run"
+    cfg = load_config(write_cfg(tmp_path, text + f"output_dir = {out}\n"))
+    cmd_train(cfg)
+    before = next(ad._creation)
+    assert cmd_eval(cfg) == 0
+    # a recorded node would have taken the next creation index
+    assert next(ad._creation) == before + 1
+
+
 def test_load_state_draws_no_init_weights(tmp_path, monkeypatch):
     cfg, out = _train_fast(tmp_path, "run", 2)
     ckpt = out / "checkpoints" / "round_00002"

@@ -7,22 +7,24 @@ import pytest
 import feddva.autodiff as ad
 from feddva.autodiff import Tensor
 from feddva.data import ClientShard, make_toy_digits, partition_uniform_marked
-from feddva.metrics import (DisentanglementReport,
+from feddva.metrics import (DisentanglementReport, ShardCodes, accuracy,
                             accuracy_per_client, clustering_report,
                             encode_shards, export_grid_image, latent_traversal,
                             mixture_kl_to_standard_mc, parse_pgm,
                             export_embeddings_csv,
                             _separation_ratio)
 from feddva.model import ArchitectureConfig, DvaModel
-from oracles import drawn_model, mc_kl_mixture_to_standard
+from oracles import (drawn_model, export_embeddings_csv_writer,
+                     export_grid_image_per_tile, latent_traversal_per_row,
+                     mc_kl_mixture_to_standard)
 
-ARCH = ArchitectureConfig(input_dim=64, hidden_dims=(16,), d_z=3, d_c=2)
 
-
-def shards_and_model(seed=0, k=3, n_per_class=12):
-    ds = make_toy_digits(n_per_class, 4, 8, 8, seed)
+def shards_and_model(seed=0, k=3, n_per_class=12, width=8, n_classes=None):
+    ds = make_toy_digits(n_per_class, 4, 8, width, seed)
     shards, _ = partition_uniform_marked(ds, k, seed, holdout_frac=0.25)
-    model = drawn_model(DvaModel, ARCH, np.random.default_rng(seed))
+    arch = ArchitectureConfig(input_dim=8 * width, hidden_dims=(16,), d_z=3,
+                              d_c=2, n_classes=n_classes)
+    model = drawn_model(DvaModel, arch, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for layer in (model.z_mu, model.z_lv, model.c_mu, model.c_lv):
         layer.w.data = rng.uniform(-0.3, 0.3, layer.w.data.shape)
@@ -73,6 +75,45 @@ def test_traversal_zero_span_all_cells_identical():
     grid = traverse(shards[0], anchor=0, steps=4, span=0.0)
     base = grid[0, 0]
     assert np.allclose(grid, base[None, None])
+
+
+@pytest.mark.parametrize("steps,width", [(1, 8), (2, 8), (5, 8), (4, 12)])
+def test_traversal_is_the_per_row_decode_bit_for_bit(steps, width):
+    shards, _ = shards_and_model(width=width)
+    for shard in shards:
+        code = encode_shards([shard])[0]
+        for anchor in (0, shard.n - 1):
+            grid = latent_traversal(shard, code, anchor, steps, 1.7)
+            want = latent_traversal_per_row(shard, code, anchor, steps, 1.7)
+            assert grid.shape == (steps, steps, 8, width)
+            assert grid.tobytes() == want.tobytes()
+
+
+def test_traversal_is_one_decode(monkeypatch):
+    shards, _ = shards_and_model()
+    code = encode_shards(shards[:1])[0]
+    rows = []
+    decode = DvaModel.decode
+
+    def counted(model, z, c):
+        rows.append(z.shape[0])
+        return decode(model, z, c)
+
+    monkeypatch.setattr(DvaModel, "decode", counted)
+    latent_traversal(shards[0], code, anchor=0, steps=5, span=1.0)
+    assert rows == [25]
+
+
+def test_scoring_records_no_graph_node():
+    shards, model = shards_and_model(n_classes=4)
+    params = model.all_parameters()
+    before = next(ad._creation)
+    codes = encode_shards(shards)
+    latent_traversal(shards[0], codes[0], anchor=0, steps=3, span=1.0)
+    accuracy(shards[0], "both")
+    # a node would take the next creation index
+    assert next(ad._creation) == before + 1
+    assert all(p.requires_grad for p in params)
 
 
 def test_traversal_rejects_nan_model():
@@ -193,6 +234,9 @@ class StubPerfect:
         self.n_classes = n_classes
         self.labels = None
 
+    def all_parameters(self):
+        return []
+
     def predict_logits(self, x, latents="both"):
         logits = np.zeros((x.shape[0], self.n_classes))
         logits[np.arange(x.shape[0]), self.labels] = 1.0
@@ -212,6 +256,9 @@ def test_accuracy_perfect_predictor():
 
 def test_accuracy_chance_level_random_logits():
     class StubRandom:
+        def all_parameters(self):
+            return []
+
         def predict_logits(self, x, latents="both"):
             rng = np.random.default_rng(x.shape[0])
             return Tensor(rng.normal(size=(x.shape[0], 4)))
@@ -277,6 +324,40 @@ def test_pgm_round_trip_to_quantization(tmp_path):
             tile = img[i * 6:i * 6 + 5, j * 8:j * 8 + 7]
             expected = np.round(images[i, j] * 255).astype(np.uint8)
             assert np.array_equal(tile, expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 8, 12), (3, 2, 8, 12),
+                                   (4, 4, 8, 8), (2, 3, 5, 1)])
+def test_pgm_bytes_are_the_per_tile_export(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    images = rng.uniform(-0.2, 1.2, shape)
+    # exact halves of a level round to even, and the clip's bounds
+    images.flat[:4] = [0.5 / 255, 1.5 / 255, 0.0, 1.0]
+    export_grid_image(images, tmp_path / "whole.pgm")
+    export_grid_image_per_tile(images, tmp_path / "tiles.pgm")
+    assert ((tmp_path / "whole.pgm").read_bytes()
+            == (tmp_path / "tiles.pgm").read_bytes())
+
+
+def test_embeddings_csv_bytes_are_csv_writers(tmp_path):
+    rng = np.random.default_rng(4)
+    z, c = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    z[0] = [np.nan, -0.0, 1e-300]
+    z[1] = [np.inf, -np.inf, 5e-324]
+    c[2] = [1e300, 0.1]
+    c[3] = [-1.0, 123456789.125]
+    for codes in ([], [ShardCodes(0, z, c, c)],
+                  [ShardCodes(2, z[:2], c[:2], c[:2]),
+                   ShardCodes(7, z[2:], c[2:], c[2:])],
+                  encode_shards(shards_and_model()[0])):
+        export_embeddings_csv(codes, tmp_path / "fast.csv")
+        export_embeddings_csv_writer(codes, tmp_path / "writer.csv")
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "writer.csv").read_bytes()
+    export_embeddings_csv([ShardCodes(0, z, c, c)], tmp_path / "fast.csv")
+    lines = (tmp_path / "fast.csv").read_bytes().split(b"\r\n")
+    assert lines[1].startswith(b"0,0,nan,-0.0,1e-300,")
+    assert lines[2].startswith(b"0,1,inf,-inf,5e-324,")
 
 
 def test_embeddings_csv(tmp_path):
